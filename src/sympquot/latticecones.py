@@ -180,7 +180,11 @@ def _tri(idx, vecs, dim):
                 sum(Fraction(rhs[s]) * ginv[s][j] for s in range(d))
                 for j in range(d)
             ]
-            assert all(v.denominator == 1 for v in x)
+            if any(v.denominator != 1 for v in x):
+                raise RuntimeError(
+                    "a ray has non-integral coordinates in its lattice span; "
+                    "please report this input"
+                )
             coords.append(tuple(int(v) for v in x))
         return _tri(idx, coords, d)
     pivot = min(range(len(idx)), key=lambda p: idx[p])
@@ -224,10 +228,18 @@ def _cell_series(V, flags, bcols, n):
     lam_rays = [sum(abs(_dot(v, c)) for c in bcols) for v in V]
     den_key = tuple(sorted(lam_rays))
     det = _det(V)
-    assert det != 0
+    if det == 0:
+        raise RuntimeError(
+            "simplicial cell with linearly dependent rays; please report "
+            "this input"
+        )
     vinv = fraction_inverse(V)
     adj = [[vinv[i][j] * det for j in range(k)] for i in range(k)]
-    assert all(e.denominator == 1 for row in adj for e in row)
+    if any(e.denominator != 1 for row in adj for e in row):
+        raise RuntimeError(
+            "adjugate of an integer cell is not integral; please report "
+            "this input"
+        )
     adj = [[int(e) for e in row] for row in adj]
     if det < 0:
         det = -det
@@ -236,7 +248,11 @@ def _cell_series(V, flags, bcols, n):
     npoints = 1
     for d in diag:
         npoints *= d
-    assert npoints == det
+    if npoints != det:
+        raise RuntimeError(
+            f"fundamental domain has {npoints} points, not |det| = {det}; "
+            "please report this input"
+        )
     bound = sum(lam_rays) + 1
     coeffs = [0] * bound
 
@@ -341,7 +357,10 @@ def norm_generating_function(basis, *, point_limit=PARALLELEPIPED_LIMIT):
             "apply"
         )
     cols = [tuple(basis[i][j] for i in range(k)) for j in range(n)]
-    assert all(any(c) for c in cols)
+    if not all(any(c) for c in cols):
+        raise RuntimeError(
+            "the lattice basis has a zero column; please report this input"
+        )
     groups = {}
     spent = 0
     for eps in product((0, 1), repeat=n):

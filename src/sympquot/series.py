@@ -1,9 +1,12 @@
 """Exact power-series and Hilbert-series arithmetic over the integers.
 
 Everything here is integer arithmetic on coefficient lists; no floating
-point is used anywhere.  Polynomials are tuples of ints indexed by degree.
-A Hilbert series is stored as an integer numerator polynomial over a
-denominator that is a multiset of exponents e, one per factor (1 - t^e).
+point is used anywhere, and no computer-algebra system is imported:
+division, reduction to lowest terms and cyclotomic factoring are done by
+exact integer long division.  Polynomials are tuples of ints indexed by
+degree.  A Hilbert series is stored as an integer numerator polynomial
+over a denominator that is a multiset of exponents e, one per factor
+(1 - t^e).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ReconstructionError
 
@@ -361,29 +365,44 @@ def reconstruct_search(series, candidates, guard, expected_dimension):
 # exact rational reconstruction (minimal linear recurrence)
 
 
+def _exact_quotient(num, den):
+    """num / den for trimmed, nonzero integer polynomials, by long division
+    over the integers; None as soon as a quotient coefficient is not an
+    integer or when the remainder is nonzero.  Each quotient coefficient
+    is stored in the slot of the numerator term it cancels."""
+    k = len(den) - 1
+    if len(num) <= k:
+        return None
+    lead = den[-1]
+    lower = [(j, d) for j, d in enumerate(den[:k]) if d]
+    rem = list(num)
+    for i in range(len(num) - 1, k - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if c:
+            rem[i] = c
+            base = i - k
+            for j, d in lower:
+                rem[base + j] -= c * d
+    if any(rem[:k]):
+        return None
+    return tuple(rem[k:])
+
+
 def poly_exact_div(num, den):
-    """Exact quotient of integer polynomials, or None if not divisible."""
+    """Exact quotient of integer polynomials, or None if not divisible.
+
+    The quotient over the rationals is computed top-down, so it is
+    integral exactly when every step divides by den's leading coefficient
+    without remainder; the first step that does not answers None.
+    """
     num, den = poly_trim(num), poly_trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if not num:
         return ()
-    if len(num) < len(den):
-        return None
-    rem = [Fraction(c) for c in num]
-    lead = Fraction(den[-1])
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + len(den) - 1] / lead
-        q[k] = c
-        if c:
-            for j, d in enumerate(den):
-                rem[k + j] -= c * d
-    if any(rem):
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return tuple(int(c) for c in q)
+    return _exact_quotient(num, den)
 
 
 def _pair_primitive(r, v):
@@ -474,27 +493,73 @@ def minimal_rational_form(coeffs, *, stability=8):
     return num, den
 
 
+@lru_cache(maxsize=None)
+def _totient(m):
+    """Euler's phi(m), the degree of the m-th cyclotomic polynomial."""
+    out, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        out -= out // rest
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m):
+    """The m-th cyclotomic polynomial Phi_m, from t^m - 1 = prod_{d | m} Phi_d.
+
+    Every Phi_d is monic, so the proper divisors are divided out of
+    t^m - 1 exactly, over the integers.
+    """
+    p = (-1,) + (0,) * (m - 1) + (1,)
+    for d in range(1, m):
+        if m % d == 0:
+            p = _exact_quotient(p, _cyclotomic(d))
+    return p
+
+
 def reduced_fraction(num, exponents):
     """Cancel num / prod_e (1 - t^e) to lowest terms over the integers.
 
     Returns (numerator, denominator) coefficient tuples with the
     denominator normalized to constant term +1.
-    """
-    from sympy import Poly, Symbol, ZZ
 
-    t = Symbol("t")
-    pnum = Poly(list(reversed(poly_trim(num))), t, domain=ZZ)
-    pden = Poly(list(reversed(one_minus_te_product(exponents))), t, domain=ZZ)
-    g = pnum.gcd(pden)
-    qn = pnum.exquo(g)
-    qd = pden.exquo(g)
-    ncoeffs = tuple(int(c) for c in reversed(qn.all_coeffs()))
-    dcoeffs = tuple(int(c) for c in reversed(qd.all_coeffs()))
-    if dcoeffs[0] < 0:
-        ncoeffs = tuple(-c for c in ncoeffs)
-        dcoeffs = tuple(-c for c in dcoeffs)
-    assert dcoeffs[0] == 1
-    return ncoeffs, dcoeffs
+    Since 1 - t^e = -(t^e - 1) = -prod_{m | e} Phi_m, the only irreducible
+    factors the denominator can share with num are the cyclotomic
+    polynomials Phi_m with m dividing some exponent, and Phi_m occurs in
+    it exactly #{e : m | e} times.  So num is divided by each such Phi_m
+    at most that many times (exact monic division), and the reduced
+    denominator is the product of the factors left over.  Signs:
+    prod (1 - t^e) = (-1)^len(exponents) prod Phi_m puts that sign on the
+    numerator; and of all the Phi_m only Phi_1 = t - 1 has constant term
+    -1, so when an odd number of Phi_1 are left over, the leftover product
+    and the numerator are both negated.
+    """
+    num = poly_trim(num)
+    if not num:
+        return (), (1,)
+    exponents = [int(e) for e in exponents]
+    order = Counter(m for e in exponents for m in range(1, e + 1) if e % m == 0)
+    sign = -1 if len(exponents) % 2 else 1
+    den = (1,)
+    for m in sorted(order):
+        phi = _cyclotomic(m)
+        left = order[m]
+        while left:
+            q = _exact_quotient(num, phi)
+            if q is None:
+                break
+            num, left = q, left - 1
+        for _ in range(left):
+            den = poly_mul(den, phi)
+    if den[0] < 0:
+        sign = -sign
+        den = tuple(-c for c in den)
+    return tuple(sign * c for c in num), den
 
 
 def cyclotomic_multiplicities(delta, index_cap=512):
@@ -503,27 +568,27 @@ def cyclotomic_multiplicities(delta, index_cap=512):
     Returns {m: multiplicity of the m-th cyclotomic polynomial} when delta
     factors completely into cyclotomics (up to sign), None otherwise.
     Denominators of Hilbert series always do; the None branch catches a
-    reconstruction that produced something else.
+    reconstruction that produced something else.  Phi_m is tried for
+    m = 1 .. index_cap, skipping those of degree phi(m) above what is left
+    to factor.  A denominator that divides prod (1 - t^e) can only contain
+    Phi_m with m | e (see reduced_fraction), so index_cap = max(e) misses
+    nothing there.
     """
-    from sympy import cyclotomic_poly
-
     rem = poly_trim(delta)
     if not rem:
         raise ValueError("zero polynomial")
     mult = {}
-    m = 1
-    while len(rem) > 1 and m <= index_cap:
-        phi = tuple(int(c) for c in reversed(cyclotomic_poly(m, polys=True).all_coeffs()))
-        if len(phi) - 1 <= len(rem) - 1:
-            count = 0
-            while True:
-                q = poly_exact_div(rem, phi)
-                if q is None:
-                    break
-                rem, count = q, count + 1
-            if count:
-                mult[m] = count
-        m += 1
+    for m in range(1, index_cap + 1):
+        if len(rem) == 1:
+            break
+        if _totient(m) > len(rem) - 1:
+            continue
+        phi = _cyclotomic(m)
+        count = 0
+        while (q := _exact_quotient(rem, phi)) is not None:
+            rem, count = q, count + 1
+        if count:
+            mult[m] = count
     if len(rem) > 1 or abs(rem[0]) != 1:
         return None
     return mult

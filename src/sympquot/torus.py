@@ -199,13 +199,20 @@ def _short_row_basis(rows):
     L = []
     for row in prod:
         entries = [sum(row[t] * ginv[t][j] for t in range(r)) for j in range(r)]
-        assert all(e.denominator == 1 for e in entries)
+        if any(e.denominator != 1 for e in entries):
+            raise RuntimeError(
+                "row-basis change is not integral; please report this input"
+            )
         L.append([int(e) for e in entries])
-    assert all(
-        sum(L[i][t] * rows[t][j] for t in range(r)) == hnf[i][j]
+    if any(
+        sum(L[i][t] * rows[t][j] for t in range(r)) != hnf[i][j]
         for i in range(r)
         for j in range(len(rows[0]))
-    )
+    ):
+        raise RuntimeError(
+            "row-basis change does not reproduce the reduced basis; please "
+            "report this input"
+        )
     return hnf, L
 
 
@@ -767,7 +774,12 @@ def quotient_series(
     kernel lattice (norm_generating_function divided by (1-t^2)^(n'-ell')),
     then cancelled to lowest terms, factored into cyclotomics, and where
     affordable re-expressed over 2(n'-ell') factors (1-t^e) with exponents
-    preferring minimal-generator degrees.  The result is cross-checked
+    preferring minimal-generator degrees.  The reduction is integer-only:
+    the closed form is gnum / prod (1 - t^e), whose denominator has only the
+    factors Phi_m with m | e, so reduced_fraction divides gnum by those
+    (each at most as often as it occurs in the denominator), and the
+    leftover denominator is factored by trial division by the Phi_m with
+    m <= max(e).  The result is cross-checked
     against the degree-D truncation of the invariant-series DP before it
     is returned, and certified via stanley_check.  The reduced module is
     stable and faithful, hence 1-large, so the quotient is a

@@ -13,7 +13,11 @@ import random
 import pytest
 
 from sympquot.errors import CapacityError
-from sympquot.latticecones import negative_image_point, norm_generating_function
+from sympquot.latticecones import (
+    _cell_series,
+    negative_image_point,
+    norm_generating_function,
+)
 from sympquot.series import HilbertSeries
 from sympquot.torus import (
     WeightMatrix,
@@ -26,6 +30,13 @@ from sympquot.torus import (
 
 def test_empty_basis_is_the_constant_one():
     assert norm_generating_function(()) == ((1,), ())
+
+
+def test_singular_cell_is_a_loud_error():
+    # a cell with dependent rays is an internal fault, and must stay one
+    # under python -O
+    with pytest.raises(RuntimeError, match="please report"):
+        _cell_series(((1, 2), (2, 4)), [False, False], [(1, 0), (0, 1)], 2)
 
 
 def test_rank_one_diagonal_lattice():

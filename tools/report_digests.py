@@ -1,0 +1,98 @@
+"""One SHA-1 per machine report, to show that a change leaves answers alone.
+
+    python3 tools/report_digests.py [--src DIR] > digests.txt
+
+Each line is ``<label> <sha1>``, where the digest is taken over the
+report's machine format (``AnalysisReport.to_json``, what ``analyze
+--format machine`` prints).  The requests:
+
+- ``test07:<i>``: the 50 torus modules of test_07 (the ``random.Random(2024)``
+  stream of tests/test_acceptance.py) at the default degree;
+- ``sl2:<irreps>``: the SL2 ladder of perfbench/corpus.py at degree 40;
+- ``cli-torus:<i>``: the six torus requests of the ``cli-cold`` workload,
+  presented as seed 1 presents them.
+
+A request that ends in ``CapacityError`` is digested as its message.  The
+package is imported from ``--src`` (default: this checkout's ``src``), so
+running the script once with each of two checkouts' ``src`` and diffing the
+outputs compares their reports.  It takes about a minute and a half to a
+few minutes on a 2-vCPU host, most of it in the test_07 modules.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test07_modules():
+    """The 50 weight matrices test_07 draws, in its order."""
+    from sympquot.torus import WeightMatrix, largeness_report
+
+    rng = random.Random(2024)
+    cases = []
+    while len(cases) < 50:
+        ell = rng.randint(1, 3)
+        n = rng.randint(ell + 1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(ell)]
+        rep = largeness_report(WeightMatrix(rows))
+        if (
+            rep.stable
+            and rep.faithful_up_to_finite
+            and rep.finite_kernel_order == 1
+            and rep.zero_columns == 0
+        ):
+            cases.append(rows)
+    return cases
+
+
+def requests():
+    """(label, request object) pairs, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+
+    out = [
+        (f"test07:{i}", {"kind": "torus", "weights": rows})
+        for i, rows in enumerate(test07_modules())
+    ]
+    out += [
+        ("sl2:" + "+".join(map(str, irreps)), {"kind": "sl2", "irreps": irreps, "degree": 40})
+        for irreps in corpus.SL2_LADDER
+    ]
+    # as corpus.cli_cold draws them, without computing its expected reports
+    rng = corpus._rng("cli-cold", 1)
+    out += [
+        (f"cli-torus:{i}", {"kind": "torus", "weights": corpus.present(corpus.TORUS_BASE[i], rng), "seed": 1})
+        for i in corpus.CLI_TORUS
+    ]
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the sympquot package")
+    args = parser.parse_args(argv)
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # the reports are compared under the hash seed the benchmark uses
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        os.execve(sys.executable, [sys.executable, __file__] + sys.argv[1:], env)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from sympquot.errors import CapacityError
+    from sympquot.pipeline import parse_request, run
+
+    for label, obj in requests():
+        try:
+            text = run(parse_request(obj)).to_json()
+        except CapacityError as exc:
+            text = f"CapacityError: {exc}"
+        print(label, hashlib.sha1(text.encode("utf-8")).hexdigest(), flush=True)
+
+
+if __name__ == "__main__":
+    main()
