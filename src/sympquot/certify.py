@@ -44,9 +44,14 @@ class GorensteinVerdict:
     caveat: str | None = None
 
     def __post_init__(self):
-        if self.graded_gorenstein:
-            assert self.functional_equation_holds
-            assert self.a_invariant == -self.dimension
+        if self.graded_gorenstein and not (
+            self.functional_equation_holds and self.a_invariant == -self.dimension
+        ):
+            raise RuntimeError(
+                "graded Gorenstein verdict without the functional equation "
+                f"at a = -dim (a = {self.a_invariant}, dim = {self.dimension}); "
+                "please report this input"
+            )
 
     def summary(self):
         if not self.functional_equation_holds:

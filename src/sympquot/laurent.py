@@ -21,10 +21,6 @@ class LaurentCharacter:
                     c[int(m)] = int(v)
         self._c = c
 
-    @classmethod
-    def monomial(cls, m, coeff=1):
-        return cls({m: coeff})
-
     def coeff(self, m):
         return self._c.get(m, 0)
 
@@ -65,12 +61,6 @@ class LaurentCharacter:
         return LaurentCharacter(c)
 
     __rmul__ = __mul__
-
-    def substitute_power(self, k):
-        """The character q -> q^k (Adams-style reindexing of weights)."""
-        if k < 1:
-            raise ValueError("power substitution needs k >= 1")
-        return LaurentCharacter({m * k: v for m, v in self._c.items()})
 
     def __eq__(self, other):
         return isinstance(other, LaurentCharacter) and self._c == other._c

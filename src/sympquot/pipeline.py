@@ -139,14 +139,6 @@ def parse_request(obj) -> AnalysisRequest:
     )
 
 
-def parse_request_text(text) -> AnalysisRequest:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    return parse_request(obj)
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 

@@ -100,13 +100,16 @@ def vanishing_order_at_one(p):
 
 
 def one_minus_te_product(exponents):
-    """Expanded integer polynomial for the product of (1 - t^e)."""
-    out = (1,)
+    """Expanded integer polynomial for the product of (1 - t^e), e >= 1,
+    multiplying in one factor at a time in place."""
+    out = [1]
     for e in exponents:
-        factor = [0] * (e + 1)
-        factor[0], factor[e] = 1, -1
-        out = poly_mul(out, tuple(factor))
-    return out
+        if e < 1:
+            raise ValueError("exponents of (1 - t^e) factors must be >= 1")
+        out.extend([0] * e)
+        for k in range(len(out) - 1, e - 1, -1):
+            out[k] -= out[k - e]
+    return tuple(out)
 
 
 def binomial_poly_one_minus_t2(ell):
@@ -292,9 +295,12 @@ def expand(series, bound):
 def reconstruct(series, denominator, guard=4):
     """Recover a closed form from a truncated expansion.
 
-    Multiplies the truncation by prod (1 - t^e); if the product vanishes in
-    degrees bound - guard + 1 .. bound the surviving prefix is accepted as
-    the numerator, otherwise the candidate denominator is rejected.
+    The product of the truncation with prod (1 - t^e) must vanish in the
+    guard window, degrees bound - guard + 1 .. bound; then its prefix up to
+    bound - guard is the numerator, otherwise the candidate denominator is
+    rejected.  Only the guard window's coefficients are computed to decide,
+    and the numerator only for an accepted candidate, since a search
+    rejects almost every candidate it tries.
 
     Args:
         series: TruncatedSeries with series.bound >= sum(denominator) + guard.
@@ -316,17 +322,18 @@ def reconstruct(series, denominator, guard=4):
             f"truncation bound {series.bound} too small for denominator degree "
             f"{sum(den)} with guard {guard}"
         )
-    product = poly_mul_truncated(
-        series.coeffs, one_minus_te_product(den), series.bound
-    )
+    coeffs = series.coeffs
+    den_poly = one_minus_te_product(den)
+    terms = [(j, c) for j, c in enumerate(den_poly) if c]
     cutoff = series.bound - guard
-    if any(product[k] != 0 for k in range(cutoff + 1, series.bound + 1)):
-        raise ReconstructionError(
-            f"denominator {den} does not reproduce the truncated series",
-            truncation=series,
-            tried=[den],
-        )
-    return HilbertSeries(poly_trim(product[: cutoff + 1]), den)
+    for k in range(cutoff + 1, series.bound + 1):
+        if sum(c * coeffs[k - j] for j, c in terms):
+            raise ReconstructionError(
+                f"denominator {den} does not reproduce the truncated series",
+                truncation=series,
+                tried=[den],
+            )
+    return HilbertSeries(poly_trim(poly_mul_truncated(coeffs, den_poly, cutoff)), den)
 
 
 def reconstruct_search(series, candidates, guard, expected_dimension):

@@ -2,16 +2,25 @@
 
 An SL2 module is a multiset of irreducibles R_d (binary forms of degree d,
 dimension d+1).  Hilbert-series work happens on the weight characters of
-the diagonal torus; moment components and Jacobian probes use the explicit
-integer matrices of the (e, f, h) action on each R_d.
+the diagonal torus, kept as dense integer tables over the weights -dW..dW
+of each Sym^d(V + V*); moment components and Jacobian probes use the
+explicit integer matrices of the (e, f, h) action on each R_d.
+
+The quotient series is found from its truncation by trying candidate
+denominators, multisets of guessed generator degrees, in increasing
+(sum, multiset) order.  They are generated lazily, and their number is
+checked against CANDIDATE_LIMIT before the search starts.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .certify import GorensteinVerdict, stanley_check
+from .errors import CapacityError
 from .laurent import LaurentCharacter
 from .quadforms import (
     MomentForm,
@@ -22,6 +31,9 @@ from .quadforms import (
 from .series import HilbertSeries, TruncatedSeries, reconstruct_search
 
 ADJOINT_DIM = 3  # dim sl2; the shell is cut by three quadratic components
+# Most candidate denominators one search may try; the SL2 ladder and R8,
+# R6+R2, R4+R3, R5+R2 at degrees <= 56 need at most 13,702.
+CANDIDATE_LIMIT = 250_000
 
 
 @dataclass(frozen=True)
@@ -80,29 +92,37 @@ def module_character(V: SL2Module) -> LaurentCharacter:
     return out
 
 
-def _newton_symmetric_powers(chi: LaurentCharacter, D):
-    """Characters of Sym^d for d = 0..D via d*h_d = sum p_k h_{d-k}."""
-    powers = [chi.substitute_power(k) for k in range(1, D + 1)]
-    h = [LaurentCharacter({0: 1})]
-    for d in range(1, D + 1):
-        acc = LaurentCharacter()
-        for k in range(1, d + 1):
-            acc = acc + powers[k - 1] * h[d - k]
-        coeffs = {}
-        for m, v in acc.items():
-            q, r = divmod(v, d)
-            assert r == 0, "Newton recursion must divide exactly"
-            coeffs[m] = q
-        h.append(LaurentCharacter(coeffs))
-    return h
+def _sym_power_rows(V: SL2Module, D):
+    """Dense weight tables of Sym^d(V + V*) for d = 0..D.
+
+    Row d is a list over the weights -dW..dW, W the top weight of V: entry
+    dW + m is the dimension of the weight-m space.  Sym(V + V*) has character
+    prod_w 1/(1 - t q^w)^2 over the weights w of V (every R_d is self-dual),
+    so each weight, taken twice, updates the rows in increasing d by
+    row_d += q^w row_(d-1).  Entries stay exact Python ints.
+    """
+    if D < 0:
+        raise ValueError("degree bound must be >= 0")
+    W = max(V.irreps, default=0)
+    rows = [[1]] + [[0] * (2 * d * W + 1) for d in range(1, D + 1)]
+    for w, count in module_character(V).items():
+        for _ in range(2 * count):
+            lo = W + w
+            for d in range(1, D + 1):
+                prev, cur = rows[d - 1], rows[d]
+                hi = lo + len(prev)
+                cur[lo:hi] = map(add, cur[lo:hi], prev)
+    return rows
 
 
 def sym_power_characters(V: SL2Module, D):
-    """Characters of Sym^d(V + V*) for d = 0..D; every R_d is self-dual,
-    so the doubled module has character 2 * chi_V."""
-    if D < 0:
-        raise ValueError("degree bound must be >= 0")
-    return _newton_symmetric_powers(2 * module_character(V), D)
+    """Characters of Sym^d(V + V*) for d = 0..D, read off the dense weight
+    tables of ``_sym_power_rows``."""
+    W = max(V.irreps, default=0)
+    return [
+        LaurentCharacter({m - d * W: v for m, v in enumerate(row) if v})
+        for d, row in enumerate(_sym_power_rows(V, D))
+    ]
 
 
 def multiplicity(chi: LaurentCharacter, m) -> int:
@@ -121,11 +141,28 @@ class ABSeries:
 
 
 def ab_series(V: SL2Module, D) -> ABSeries:
-    chars = sym_power_characters(V, D)
-    a = tuple(multiplicity(c, 0) for c in chars)
-    b = tuple(multiplicity(c, 2) for c in chars)
-    assert a[0] == 1 and b[0] == 0
-    assert all(x >= 0 for x in a) and all(x >= 0 for x in b)
+    """Multiplicities of R_0 and R_2 in Sym^d(V + V*) for d = 0..D.
+
+    With c_m the weight-m entry of row d of ``_sym_power_rows``,
+    a_d = c_0 - c_2 and b_d = c_2 - c_4; no character dicts are built.
+    """
+    W = max(V.irreps, default=0)
+    a, b = [], []
+    for d, row in enumerate(_sym_power_rows(V, D)):
+        if row != row[::-1]:
+            raise RuntimeError(
+                f"weight table of Sym^{d}({V} + dual) is not symmetric; "
+                "please report this input"
+            )
+        mid = d * W  # weight 0
+        c0, c2, c4 = (row[mid + m] if m <= mid else 0 for m in (0, 2, 4))
+        a.append(c0 - c2)
+        b.append(c2 - c4)
+    if a[0] != 1 or b[0] != 0 or min(a) < 0 or min(b) < 0:
+        raise RuntimeError(
+            f"trivial/adjoint multiplicities of Sym({V} + dual) are not a "
+            "module's (a_0 = 1, b_0 = 0, all >= 0); please report this input"
+        )
     return ABSeries(a=TruncatedSeries(a), b=TruncatedSeries(b))
 
 
@@ -164,8 +201,11 @@ class SL2Classification:
     zero_modular: bool
 
     def __post_init__(self):
-        if self.two_large:
-            assert self.one_large and self.zero_modular
+        if self.two_large and not (self.one_large and self.zero_modular):
+            raise RuntimeError(
+                f"{self.module} is classified 2-large but not 1-large and "
+                "0-modular; please report this input"
+            )
 
 
 def classify_largeness(V: SL2Module) -> SL2Classification:
@@ -329,6 +369,56 @@ def _detect_generator_degrees(a_coeffs, limit):
     return degrees
 
 
+def _count_multisets(pool, k, cap):
+    """Number of k-multisets from the distinct values in pool with sum <= cap,
+    by a DP over (size, sum)."""
+    if k < 0 or cap < 0:
+        return 0
+    ways = [[1] + [0] * cap] + [[0] * (cap + 1) for _ in range(k)]
+    for x in pool:
+        for j in range(1, k + 1):
+            prev, cur = ways[j - 1], ways[j]
+            for s in range(x, cap + 1):
+                cur[s] += prev[s - x]
+    return sum(ways[k])
+
+
+def _multisets_by_sum(pool, k, cap):
+    """The k-multisets of the sorted distinct values in pool with sum <= cap,
+    as sorted tuples in increasing (sum, tuple) order, generated lazily.
+
+    The same sequence as sorting the filtered combinations_with_replacement,
+    without walking the multisets whose sum is over cap.
+    """
+    if k < 0:
+        raise ValueError("multiset size must be >= 0")
+    if k == 0:
+        if cap >= 0:
+            yield ()
+        return
+    if not pool:
+        return
+    top = pool[-1]
+    out = [0] * k
+
+    def fill(pos, start, total, target):
+        left = k - pos
+        for i in range(start, len(pool)):
+            x = pool[i]
+            if total + x * left > target:
+                break
+            if total + x + top * (left - 1) < target:
+                continue
+            out[pos] = x
+            if left == 1:
+                yield tuple(out)
+            else:
+                yield from fill(pos + 1, i, total + x, target)
+
+    for target in range(k * pool[0], cap + 1):
+        yield from fill(0, 0, 0, target)
+
+
 def koszul_quotient_series(
     V: SL2Module, D=24, denominators=None, *, guard=4, probe_seed=0
 ) -> SL2QuotientResult:
@@ -340,6 +430,11 @@ def koszul_quotient_series(
     stripped first and re-multiplied as 1/(1-t)^(2m).  The gate combines
     the exact classification list with a Jacobian rank probe and reports
     which evidence was used.
+
+    Without ``denominators`` the candidates are the multisets of 2n - 6
+    exponents, from the guessed generator degrees and their lcms, with sum
+    at most D - guard; more than CANDIDATE_LIMIT of them raise
+    CapacityError before any is tried.
     """
     m0 = V.trivial_summands
     core = V.nontrivial_part()
@@ -387,26 +482,20 @@ def koszul_quotient_series(
     if denominators is not None:
         candidates = [tuple(sorted(int(e) for e in denominators))]
     else:
-        import math as _math
-
-        degs = _detect_generator_degrees(a, min(D - guard, 16))
-        pool = sorted(set(degs))
-        extra = {
-            _math.lcm(x, y) for x in pool for y in pool if _math.lcm(x, y) <= D - guard
-        }
-        if pool:
-            total = _math.lcm(*pool)
-            if total <= D - guard:
-                extra.add(total)
+        cap = D - guard
+        pool = sorted(set(_detect_generator_degrees(a, min(cap, 16))))
+        extra = {math.lcm(x, y) for x in pool for y in pool if math.lcm(x, y) <= cap}
+        if pool and math.lcm(*pool) <= cap:
+            extra.add(math.lcm(*pool))
         pool = sorted(set(pool) | extra)
-        from itertools import combinations_with_replacement
-
-        candidates = [
-            c
-            for c in combinations_with_replacement(pool, den_count)
-            if sum(c) <= D - guard
-        ]
-        candidates.sort(key=lambda c: (sum(c), c))
+        count = _count_multisets(pool, den_count, cap)
+        if count > CANDIDATE_LIMIT:
+            raise CapacityError(
+                f"{count} candidate denominators of {den_count} exponents from "
+                f"{pool} with sum <= {cap} exceed the limit {CANDIDATE_LIMIT}; "
+                "supply denominators"
+            )
+        candidates = _multisets_by_sum(pool, den_count, cap)
 
     closed, used = reconstruct_search(trunc, candidates, guard, den_count)
     series = HilbertSeries(closed.numerator, closed.denominator + (1,) * (2 * m0))

@@ -289,8 +289,11 @@ class TorusLargenessReport:
     zero_columns: int
 
     def __post_init__(self):
-        if self.one_large:
-            assert self.stable and self.fpig
+        if self.one_large and not (self.stable and self.fpig):
+            raise RuntimeError(
+                "largeness report is 1-large but not stable with finite "
+                "principal isotropy; please report this input"
+            )
 
 
 def largeness_report(A: WeightMatrix) -> TorusLargenessReport:
@@ -989,8 +992,12 @@ def shell_diagnostics(A: WeightMatrix) -> TorusShellDiagnostics:
                 iso_dim = d
 
     zero_modular = large.max_k_modular >= 0
-    if zero_modular:
-        assert shell_dim == 2 * n - ell, "stratum dimensions contradict 0-modularity"
+    if zero_modular and shell_dim != 2 * n - ell:
+        raise RuntimeError(
+            f"shell dimension {shell_dim} != 2n - ell = {2 * n - ell} for a "
+            "0-modular module: stratum dimensions contradict 0-modularity; "
+            "please report this input"
+        )
     a_shell = 2 * ell - 2 * n
 
     caveats = []

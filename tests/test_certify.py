@@ -5,6 +5,7 @@ import pytest
 from sympquot.certify import (
     CM_FAILS_CAVEAT,
     CM_UNKNOWN_CAVEAT,
+    GorensteinVerdict,
     shell_a_invariant,
     stanley_check,
 )
@@ -70,3 +71,10 @@ def test_shell_a_invariant_validation():
     assert shell_a_invariant(2, 2) == 0
     with pytest.raises(ValueError):
         shell_a_invariant(-1, 2)
+
+
+def test_verdict_refuses_gorenstein_without_functional_equation():
+    with pytest.raises(RuntimeError, match="please report this input"):
+        GorensteinVerdict(
+            dimension=3, a_invariant=-2, functional_equation_holds=True, graded_gorenstein=True
+        )

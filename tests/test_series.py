@@ -21,6 +21,7 @@ from sympquot.series import (
     poly_divide_one_minus_te,
     poly_exact_div,
     poly_mul,
+    poly_mul_truncated,
     poly_trim,
     reconstruct,
     reconstruct_search,
@@ -192,6 +193,54 @@ def test_reconstruct_roundtrip(num, den):
     closed = reconstruct(H.expand(bound), tuple(den), guard=guard)
     assert closed.equals(H)
     assert closed.denominator == tuple(sorted(den))
+
+
+def full_product_reconstruct(series, den, guard):
+    """The whole truncated product, then the guard-window test on it."""
+    den = tuple(sorted(den))
+    product = poly_mul_truncated(series.coeffs, one_minus_te_product(den), series.bound)
+    cutoff = series.bound - guard
+    if any(product[cutoff + 1 :]):
+        return None
+    return HilbertSeries(poly_trim(product[: cutoff + 1]), den)
+
+
+@st.composite
+def truncations_and_candidates(draw):
+    """A truncation (of a true series, perhaps with one coefficient moved,
+    or of random integers) and a candidate denominator it is tested on."""
+    guard = draw(st.integers(1, 5))
+    cand = draw(den_exponents)
+    num = draw(num_coeffs)
+    true_den = draw(st.one_of(st.just(cand), den_exponents))
+    bound = len(num) - 1 + max(sum(cand), sum(true_den)) + guard + draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["series", "perturbed", "random"]))
+    if kind == "random":
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=bound + 1, max_size=bound + 1))
+    else:
+        coeffs = list(HilbertSeries(num, true_den).expand(bound).coeffs)
+        if kind == "perturbed":
+            coeffs[draw(st.integers(0, bound))] += draw(st.sampled_from([-1, 1]))
+    return TruncatedSeries(coeffs), cand, guard
+
+
+@given(truncations_and_candidates())
+@settings(max_examples=300, deadline=None)
+def test_window_first_reconstruct_matches_full_product(case):
+    trunc, cand, guard = case
+    expected = full_product_reconstruct(trunc, cand, guard)
+    if expected is None:
+        with pytest.raises(ReconstructionError):
+            reconstruct(trunc, cand, guard=guard)
+    else:
+        closed = reconstruct(trunc, cand, guard=guard)
+        assert closed.numerator == expected.numerator
+        assert closed.denominator == expected.denominator
+
+
+def test_one_minus_te_product_rejects_nonpositive_exponents():
+    with pytest.raises(ValueError):
+        one_minus_te_product((2, 0))
 
 
 @given(num_coeffs, den_exponents)

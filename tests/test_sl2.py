@@ -1,21 +1,28 @@
 """SL2 analyzer: characters, classification, Koszul quotient series."""
 
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympquot import sl2
 from sympquot.bruteforce import sl2_sym_character_brute
 from sympquot.certify import CM_FAILS_CAVEAT
+from sympquot.errors import CapacityError
 from sympquot.laurent import LaurentCharacter
 from sympquot.quadforms import MomentForm
 from sympquot.sl2 import (
     NAIVE_QUOTIENT_CAVEAT,
+    SL2Classification,
     SL2Module,
     ab_series,
     character,
     classify_largeness,
     jacobian_rank_probe,
     koszul_quotient_series,
+    module_character,
     module_rep_matrices,
     moment_components_sl2,
     multiplicity,
@@ -66,6 +73,95 @@ def test_sym_powers_match_multiset_enumeration(irreps, d):
     assert newton == sl2_sym_character_brute(V.irreps, d)
 
 
+# modules of dimension <= 6, trivial summands included
+small_modules = st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(
+    lambda irreps: sum(d + 1 for d in irreps) <= 6
+)
+
+
+@given(small_modules, st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_sym_power_characters_match_brute_force_small_modules(irreps, D):
+    V = SL2Module(irreps)
+    chars = sym_power_characters(V, D)
+    assert len(chars) == D + 1
+    for d, chi in enumerate(chars):
+        assert chi == sl2_sym_character_brute(V.irreps, d)
+
+
+def newton_sym_powers(V, D):
+    """Characters of Sym^d(V + V*) by Newton's identity d h_d = sum_k p_k
+    h_(d-k) over weight dicts, with p_k the character of V + V* at q^k."""
+    chi = Counter()
+    for m, v in module_character(V).items():
+        chi[m] += 2 * v
+    h = [{0: 1}]
+    for d in range(1, D + 1):
+        acc = Counter()
+        for k in range(1, d + 1):
+            for m1, v1 in chi.items():
+                for m2, v2 in h[d - k].items():
+                    acc[k * m1 + m2] += v1 * v2
+        row = {}
+        for m, v in acc.items():
+            q, r = divmod(v, d)
+            assert r == 0
+            if q:
+                row[m] = q
+        h.append(row)
+    return [LaurentCharacter(c) for c in h]
+
+
+@pytest.mark.parametrize("irreps", [(1,), (2,), (3,), (4,), (5,), (6,), (7,), (5, 5)])
+def test_sym_power_characters_match_newton_identity(irreps):
+    V = SL2Module(irreps)
+    assert sym_power_characters(V, 30) == newton_sym_powers(V, 30)
+
+
+# the SL2 ladder of the benchmark corpus
+LADDER = [
+    (1,), (2,), (3,), (4,), (5,), (6,), (7,),
+    (1, 1), (1, 1, 1), (1, 1, 1, 1), (2, 1), (2, 2), (2, 2, 2),
+    (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 4),
+    (2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1), (5, 5), (3, 3, 1),
+]
+
+
+@pytest.mark.parametrize("irreps", LADDER)
+def test_ab_series_reads_multiplicities_of_the_characters(irreps):
+    V = SL2Module(irreps)
+    chars = sym_power_characters(V, 40)
+    ab = ab_series(V, 40)
+    assert ab.a.coeffs == tuple(multiplicity(c, 0) for c in chars)
+    assert ab.b.coeffs == tuple(multiplicity(c, 2) for c in chars)
+
+
+def test_sym_power_characters_degree_validation():
+    for fn in (sym_power_characters, ab_series):
+        with pytest.raises(ValueError):
+            fn(SL2Module((1,)), -1)
+    assert sym_power_characters(SL2Module(()), 2) == [
+        LaurentCharacter({0: 1}), LaurentCharacter(), LaurentCharacter()
+    ]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # the lowest weight only, away from the weights 0, 2, 4 that are read
+        lambda rows: rows[:3] + [[row[0] + 1] + row[1:] for row in rows[3:]],
+        lambda rows: [[2]] + rows[1:],
+        lambda rows: [[-x for x in row] if d else row for d, row in enumerate(rows)],
+    ],
+    ids=["asymmetric", "a0", "negative"],
+)
+def test_ab_series_refuses_a_corrupt_weight_table(monkeypatch, corrupt):
+    real = sl2._sym_power_rows
+    monkeypatch.setattr(sl2, "_sym_power_rows", lambda V, D: corrupt(real(V, D)))
+    with pytest.raises(RuntimeError, match="please report this input"):
+        ab_series(SL2Module((2, 1)), 6)
+
+
 def test_ab_series_pinned_r2():
     # R2 + R2* is two copies of the SO(3) vector rep: the invariants are
     # the three pairwise dot products and the ring is free on them
@@ -103,6 +199,17 @@ def test_classify_largeness_pinned():
 
     cls = classify_largeness(SL2Module((5,)))
     assert cls.two_large and cls.one_large and cls.zero_modular
+
+
+def test_classification_rejects_inconsistent_flags():
+    with pytest.raises(RuntimeError, match="please report this input"):
+        SL2Classification(
+            module=SL2Module((5,)),
+            two_large=True,
+            one_large=False,
+            orbifold_case=False,
+            zero_modular=True,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +312,52 @@ def test_koszul_truncation_is_alternating_sum():
     )
     assert q.truncation.coeffs == expected
     assert q.series.expand(24).coeffs == expected
+
+
+# ---------------------------------------------------------------------------
+# candidate denominators
+
+
+def sorted_multisets(pool, k, cap):
+    """The reference order: every k-multiset, filtered by sum, then sorted."""
+    combos = [c for c in combinations_with_replacement(pool, k) if sum(c) <= cap]
+    return sorted(combos, key=lambda c: (sum(c), c))
+
+
+pools = st.sets(st.integers(1, 12), max_size=6).map(sorted)
+
+
+@given(pools, st.integers(0, 5), st.integers(-3, 40))
+@settings(max_examples=200, deadline=None)
+def test_lazy_candidates_match_sorted_filtered_combinations(pool, k, cap):
+    expected = sorted_multisets(pool, k, cap)
+    assert list(sl2._multisets_by_sum(pool, k, cap)) == expected
+    assert sl2._count_multisets(pool, k, cap) == len(expected)
+
+
+def test_lazy_candidates_edge_cases():
+    assert list(sl2._multisets_by_sum([], 0, 5)) == [()]
+    assert list(sl2._multisets_by_sum([], 3, 5)) == []
+    assert list(sl2._multisets_by_sum([2, 3], 0, 0)) == [()]
+    assert list(sl2._multisets_by_sum([2, 3], 0, -1)) == []
+    assert list(sl2._multisets_by_sum([2, 3], 3, 5)) == []  # cap < 3 * 2
+    assert list(sl2._multisets_by_sum([2, 3], 2, 5)) == [(2, 2), (2, 3)]
+    assert sl2._count_multisets([], 0, 5) == 1
+    assert sl2._count_multisets([2, 3], 3, 5) == 0
+
+
+def test_candidate_count_is_capped_before_the_search(monkeypatch):
+    V = SL2Module((3, 2))
+    q = koszul_quotient_series(V, 40)
+    tried = []
+    real_search = sl2.reconstruct_search
+    monkeypatch.setattr(
+        sl2, "reconstruct_search", lambda *a: tried.append(a) or real_search(*a)
+    )
+    monkeypatch.setattr(sl2, "CANDIDATE_LIMIT", 5)
+    with pytest.raises(CapacityError, match=r"exceed the limit 5"):
+        koszul_quotient_series(V, 40)
+    assert not tried  # refused before any candidate was tried
+    # user-supplied denominators are not capped
+    forced = koszul_quotient_series(V, 40, denominators=q.denominator)
+    assert forced.series == q.series

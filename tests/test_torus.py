@@ -305,3 +305,23 @@ def test_quotient_series_matches_full_monomial_enumeration():
                 c - (cut[d - 2] if d >= 2 else 0) for d, c in enumerate(cut)
             ]
         assert list(q.series.expand(10).coeffs) == cut, rows
+
+
+def test_torus_reports_refuse_contradictions(monkeypatch):
+    # [[1,1],[1,1]] is not 0-modular (shell dimension 3 > 2n - ell = 2) and
+    # not stable: a largeness report claiming 0-modularity contradicts the
+    # strata, and one claiming 1-largeness contradicts stability
+    import dataclasses
+
+    from sympquot import torus
+
+    real = torus.largeness_report
+    monkeypatch.setattr(
+        torus,
+        "largeness_report",
+        lambda A: dataclasses.replace(real(A), max_k_modular=0),
+    )
+    with pytest.raises(RuntimeError, match="please report this input"):
+        shell_diagnostics(WeightMatrix([[1, 1], [1, 1]]))
+    with pytest.raises(RuntimeError, match="please report this input"):
+        dataclasses.replace(real(WeightMatrix([[1, 1], [1, 1]])), one_large=True)

@@ -8,15 +8,20 @@ report's machine format (``AnalysisReport.to_json``, what ``analyze
 
 - ``test07:<i>``: the 50 torus modules of test_07 (the ``random.Random(2024)``
   stream of tests/test_acceptance.py) at the default degree;
-- ``sl2:<irreps>``: the SL2 ladder of perfbench/corpus.py at degree 40;
+- ``sl2@<degree>:<irreps>``: the SL2 ladder of perfbench/corpus.py at
+  degrees 24, 40, 48 and 56;
+- ``sl2-oracle:<irreps>``: the ladder at degree 40 with ``"oracle": true``,
+  which checks the characters against the brute-force enumeration;
+- ``sl2-extra:<irreps>``: R4+R3, R6+R1 and R5+R2 at degree 40, which end
+  in a ``ReconstructionError`` report after a long candidate search;
 - ``cli-torus:<i>``: the six torus requests of the ``cli-cold`` workload,
   presented as seed 1 presents them.
 
 A request that ends in ``CapacityError`` is digested as its message.  The
 package is imported from ``--src`` (default: this checkout's ``src``), so
 running the script once with each of two checkouts' ``src`` and diffing the
-outputs compares their reports.  It takes about a minute and a half to a
-few minutes on a 2-vCPU host, most of it in the test_07 modules.
+outputs compares their reports.  It takes about a minute and a half on a
+2-vCPU host, most of it in the test_07 modules.
 """
 
 from __future__ import annotations
@@ -61,9 +66,19 @@ def requests():
         (f"test07:{i}", {"kind": "torus", "weights": rows})
         for i, rows in enumerate(test07_modules())
     ]
+    label = lambda irreps: "+".join(map(str, irreps))
     out += [
-        ("sl2:" + "+".join(map(str, irreps)), {"kind": "sl2", "irreps": irreps, "degree": 40})
+        (f"sl2@{degree}:{label(irreps)}", {"kind": "sl2", "irreps": irreps, "degree": degree})
+        for degree in (24, 40, 48, 56)
         for irreps in corpus.SL2_LADDER
+    ]
+    out += [
+        (f"sl2-oracle:{label(irreps)}", {"kind": "sl2", "irreps": irreps, "degree": 40, "oracle": True})
+        for irreps in corpus.SL2_LADDER
+    ]
+    out += [
+        (f"sl2-extra:{label(irreps)}", {"kind": "sl2", "irreps": irreps, "degree": 40})
+        for irreps in ([4, 3], [6, 1], [5, 2])
     ]
     # as corpus.cli_cold draws them, without computing its expected reports
     rng = corpus._rng("cli-cold", 1)
