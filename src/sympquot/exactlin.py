@@ -2,8 +2,9 @@
 
 Small dense matrices only (weight matrices, moment-map Jacobians), so the
 routines favour clarity and exactness over asymptotics: fraction-free
-elimination for ranks, an extended-gcd row ladder for unimodular reduction,
-and a Bland's-rule simplex over Fraction for cone membership.  The Smith
+elimination for ranks and for the adjugate, an extended-gcd row ladder for
+unimodular reduction, and a Bland's-rule simplex over Fraction for cone
+membership.  The Smith
 normal form is delegated to sympy.
 """
 
@@ -77,6 +78,39 @@ def fraction_inverse(rows):
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [row[k:] for row in aug]
+
+
+def integer_adjugate(rows):
+    """(adj, det) of a square integer matrix M, with adj*M = M*adj = det*I.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [M | I]: every
+    division is exact, the last pivot is det(PM) for the row permutation P
+    of the pivoting, the left block ends as det(PM)*I and the right block
+    as det(PM)*M^-1, which is the adjugate up to the sign of P.  Returns
+    (None, 0) when M is singular.
+    """
+    k = len(rows)
+    aug = [
+        [int(v) for v in row] + [int(i == j) for j in range(k)]
+        for i, row in enumerate(rows)
+    ]
+    sign = 1
+    prev = 1
+    for col in range(k):
+        piv = next((i for i in range(col, k) if aug[i][col]), None)
+        if piv is None:
+            return None, 0
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            sign = -sign
+        pr = aug[col]
+        pv = pr[col]
+        for i in range(k):
+            c = aug[i][col]
+            if i != col:
+                aug[i] = [(pv * a - c * b) // prev for a, b in zip(aug[i], pr)]
+        prev = pv
+    return [[sign * v for v in row[k:]] for row in aug], sign * prev
 
 
 def _exgcd(a, b):

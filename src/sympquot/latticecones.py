@@ -28,6 +28,15 @@ one of its strict constraints to vanish identically).  Each half-open
 simplicial cone then contributes its fundamental-parallelepiped points
 over prod_i (1 - t^lam(v_i)) in the usual Stanley fashion, where lam is
 the 1-norm of the image in Z^n.
+
+Exact integers throughout.  The extreme rays of each piece cone and the
+facets of each cone being triangulated (the extreme rays of its dual) come
+from the double description method, which adds the inequalities one at a
+time and joins adjacent rays across each new hyperplane.  Each simplicial
+cell gets one fraction-free adjugate adj(V) = det(V) V^-1: its columns are
+the facet normals that decide the half-open pattern, its entries give the
+fundamental-parallelepiped coordinates of a point, and |det V| is the
+cell's point count, checked against the cap before any point is walked.
 """
 
 from __future__ import annotations
@@ -35,13 +44,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .errors import CapacityError
 from .exactlin import (
-    fraction_inverse,
+    integer_adjugate,
     integer_kernel_basis,
     integer_rank,
     nonnegative_solution,
@@ -60,28 +69,12 @@ def _primitive(vec):
     g = 0
     for v in vec:
         g = math.gcd(g, abs(v))
+    if g == 0:
+        raise RuntimeError(
+            "the double description produced a zero ray; please report "
+            "this input"
+        )
     return tuple(v // g for v in vec)
-
-
-def _det(rows):
-    """Determinant of a square integer matrix (Bareiss, exact)."""
-    n = len(rows)
-    m = [[int(v) for v in r] for r in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            piv = next((r for r in range(i + 1, n) if m[r][i]), None)
-            if piv is None:
-                return 0
-            m[i], m[piv] = m[piv], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
 
 
 def _box_diagonal(V):
@@ -122,31 +115,89 @@ def negative_image_point(basis):
     return tuple(Fraction(sol[i]) - Fraction(sol[k + i]) for i in range(k))
 
 
+def _independent_rows(rows, k):
+    """Indices of the first k linearly independent rows, taken greedily
+    in order, or None when the rows do not span Q^k."""
+    echelon = []  # (pivot column, reduced row)
+    chosen = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        for col, er in echelon:
+            c = v[col]
+            if c:
+                p = er[col]
+                v = [p * a - c * b for a, b in zip(v, er)]
+        col = next((j for j, a in enumerate(v) if a), None)
+        if col is None:
+            continue
+        echelon.append((col, _primitive(v)))
+        chosen.append(i)
+        if len(chosen) == k:
+            return chosen
+    return None
+
+
 def _extreme_rays(normals, k):
     """Primitive extreme rays of {x in R^k : <u, x> >= 0 for u in normals}.
 
-    The cone must be pointed (normals spanning R^k); rays are found as the
-    1-dimensional kernels of rank-(k-1) subsets and kept when the active
-    set at the ray has rank exactly k-1.
+    The cone must be pointed (normals spanning R^k); it may be
+    lower-dimensional, or {0}, which has no rays.  Double description
+    (Motzkin et al. 1953; Fukuda-Prodon 1996) in exact integers: the
+    cone of k independent normals has the columns of their adjugate
+    (times the sign of the determinant) as rays, and each further normal
+    u keeps the rays with <u, r> >= 0 and adds, for every pair of a
+    positive ray p and a negative ray q that are adjacent, the primitive
+    ray <u, p> q - <u, q> p on the hyperplane <u, x> = 0.  Adjacency is
+    the combinatorial test on zero sets: no third ray vanishes on every
+    normal that both p and q vanish on.  Primitive extreme rays of a
+    pointed cone are unique, so the sorted list is that of any other
+    exact method.
     """
-    normals = sorted(set(map(tuple, normals)))
-    rays = set()
-    if k == 1:
-        for cand in ((1,), (-1,)):
-            if all(_dot(u, cand) >= 0 for u in normals):
-                rays.add(cand)
-        return sorted(rays)
-    for subset in combinations(range(len(normals)), k - 1):
-        ker = integer_kernel_basis([normals[i] for i in subset], k)
-        if len(ker) != 1:
+    normals = sorted({tuple(int(v) for v in u) for u in normals if any(u)})
+    start = _independent_rows(normals, k)
+    if start is None:
+        raise RuntimeError(
+            f"the normals do not span Q^{k}, so the cone is not pointed; "
+            "please report this input"
+        )
+    adj, det = integer_adjugate([normals[i] for i in start])
+    sign = 1 if det > 0 else -1
+    every = 0
+    for i in start:
+        every |= 1 << i
+    # rays as (primitive vector, bitmask of the added normals it lies on)
+    rays = [
+        (_primitive([sign * adj[r][j] for r in range(k)]), every & ~(1 << i))
+        for j, i in enumerate(start)
+    ]
+    chosen = set(start)
+    for t, u in enumerate(normals):
+        if t in chosen or not rays:
             continue
-        r = _primitive(ker[0])
-        for cand in (r, tuple(-v for v in r)):
-            if all(_dot(u, cand) >= 0 for u in normals):
-                active = [u for u in normals if _dot(u, cand) == 0]
-                if integer_rank(active) == k - 1:
-                    rays.add(cand)
-    return sorted(rays)
+        bit = 1 << t
+        values = [_dot(u, ray) for ray, _ in rays]
+        pos = [i for i, s in enumerate(values) if s > 0]
+        neg = [i for i, s in enumerate(values) if s < 0]
+        kept = [
+            (ray, zeros | bit if s == 0 else zeros)
+            for (ray, zeros), s in zip(rays, values)
+            if s >= 0
+        ]
+        for i in pos:
+            p, zp = rays[i]
+            for j in neg:
+                q, zq = rays[j]
+                common = zp & zq
+                if common.bit_count() < k - 2 or any(
+                    common & ~z == 0 and r != i and r != j
+                    for r, (_, z) in enumerate(rays)
+                ):
+                    continue
+                sp, sq = values[i], values[j]
+                ray = _primitive([sp * b - sq * a for a, b in zip(p, q)])
+                kept.append((ray, common | bit))
+        rays = kept
+    return sorted(ray for ray, _ in rays)
 
 
 def _facet_subsets(rays, k):
@@ -172,20 +223,17 @@ def _tri(idx, vecs, dim):
         ortho = integer_kernel_basis(vecs, dim)
         span = integer_kernel_basis(ortho, dim)
         gram = [[_dot(a, b) for b in span] for a in span]
-        ginv = fraction_inverse(gram)
+        gadj, gdet = integer_adjugate(gram)
         coords = []
         for r in vecs:
             rhs = [_dot(r, w) for w in span]
-            x = [
-                sum(Fraction(rhs[s]) * ginv[s][j] for s in range(d))
-                for j in range(d)
-            ]
-            if any(v.denominator != 1 for v in x):
+            x = [sum(rhs[s] * gadj[s][j] for s in range(d)) for j in range(d)]
+            if any(v % gdet for v in x):
                 raise RuntimeError(
                     "a ray has non-integral coordinates in its lattice span; "
                     "please report this input"
                 )
-            coords.append(tuple(int(v) for v in x))
+            coords.append(tuple(v // gdet for v in x))
         return _tri(idx, coords, d)
     pivot = min(range(len(idx)), key=lambda p: idx[p])
     cells = []
@@ -201,19 +249,33 @@ def _tri(idx, vecs, dim):
     return cells
 
 
-def _half_open_flags(V, y):
+def _cell_adjugate(V):
+    """(adj, |det|) of the ray rows V of a simplicial cell, with the
+    adjugate's sign flipped along with det's, so adj = |det| * V^-1."""
+    adj, det = integer_adjugate(V)
+    if det == 0:
+        raise RuntimeError(
+            "simplicial cell with linearly dependent rays; please report "
+            "this input"
+        )
+    if det < 0:
+        return [[-e for e in row] for row in adj], -det
+    return adj, det
+
+
+def _half_open_flags(adj, y):
     """Which facets of the simplicial cone with ray rows V are open.
 
     Facet i (opposite ray i) has inward normal equal to column i of
-    V^-1; it is dropped when the reference point y is strictly on its
-    outer side, with ties resolved by perturbing y lexicographically
-    along the coordinate directions.
+    V^-1, a positive multiple of column i of ``adj`` (from
+    _cell_adjugate); it is dropped when the reference point y (up to a
+    positive scale) is strictly on its outer side, with ties resolved by
+    perturbing y lexicographically along the coordinate directions.
     """
-    k = len(V)
-    vinv = fraction_inverse(V)
+    k = len(adj)
     flags = []
     for i in range(k):
-        normal = [vinv[r][i] for r in range(k)]
+        normal = [adj[r][i] for r in range(k)]
         s = _dot(normal, y)
         if s == 0:
             s = next(v for v in normal if v != 0)
@@ -221,29 +283,14 @@ def _half_open_flags(V, y):
     return flags
 
 
-def _cell_series(V, flags, bcols, n):
-    """(denominator key, numerator coefficients, point count) for one
-    half-open simplicial cone spanned by the rows of V."""
+def _cell_series(V, flags, bcols, n, adjugate=None):
+    """(denominator key, numerator coefficients) for one half-open
+    simplicial cone spanned by the rows of V; ``adjugate`` is
+    ``_cell_adjugate(V)`` when the caller already has it."""
     k = len(V)
     lam_rays = [sum(abs(_dot(v, c)) for c in bcols) for v in V]
     den_key = tuple(sorted(lam_rays))
-    det = _det(V)
-    if det == 0:
-        raise RuntimeError(
-            "simplicial cell with linearly dependent rays; please report "
-            "this input"
-        )
-    vinv = fraction_inverse(V)
-    adj = [[vinv[i][j] * det for j in range(k)] for i in range(k)]
-    if any(e.denominator != 1 for row in adj for e in row):
-        raise RuntimeError(
-            "adjugate of an integer cell is not integral; please report "
-            "this input"
-        )
-    adj = [[int(e) for e in row] for row in adj]
-    if det < 0:
-        det = -det
-        adj = [[-e for e in row] for row in adj]
+    adj, det = _cell_adjugate(V) if adjugate is None else adjugate
     diag = _box_diagonal(V)
     npoints = 1
     for d in diag:
@@ -289,8 +336,9 @@ def _cell_series(V, flags, bcols, n):
                 if c:
                     coeffs[e] += int(c)
     else:
+        adj_cols = list(zip(*adj))
         for x0 in product(*(range(d) for d in diag)):
-            alpha_num = [_dot(x0, [adj[i][j] for i in range(k)]) for j in range(k)]
+            alpha_num = [_dot(x0, col) for col in adj_cols]
             p = list(x0)
             for j in range(k):
                 fj = alpha_num[j] // det
@@ -302,7 +350,7 @@ def _cell_series(V, flags, bcols, n):
                         p[c] += V[j][c]
             lam = sum(abs(_dot(p, col)) for col in bcols)
             coeffs[lam] += 1
-    return den_key, coeffs, npoints
+    return den_key, coeffs
 
 
 def _mul_one_minus_te(poly, e):
@@ -342,8 +390,8 @@ def norm_generating_function(basis, *, point_limit=PARALLELEPIPED_LIMIT):
     The row span must contain a strictly positive vector (ValueError
     otherwise); that is what makes every orthant piece of the lattice a
     genuinely half-open pointed cone with no boundary corrections.
-    Raises CapacityError when the total number of fundamental-domain
-    points to enumerate exceeds ``point_limit``.
+    Raises CapacityError, before enumerating any point, when the total
+    number of fundamental-domain points exceeds ``point_limit``.
     """
     basis = [tuple(int(v) for v in row) for row in basis]
     if not basis:
@@ -356,12 +404,16 @@ def norm_generating_function(basis, *, point_limit=PARALLELEPIPED_LIMIT):
             "pieces are not half-open cones and this routine does not "
             "apply"
         )
+    scale = math.lcm(*(v.denominator for v in y))
+    y = tuple(int(v * scale) for v in y)
     cols = [tuple(basis[i][j] for i in range(k)) for j in range(n)]
     if not all(any(c) for c in cols):
         raise RuntimeError(
             "the lattice basis has a zero column; please report this input"
         )
-    groups = {}
+    # triangulate every piece first: |det V| is a cell's point count, so
+    # the cap is checked before any point is enumerated
+    cells = []
     spent = 0
     for eps in product((0, 1), repeat=n):
         normals = [
@@ -382,16 +434,20 @@ def norm_generating_function(basis, *, point_limit=PARALLELEPIPED_LIMIT):
             continue
         for cell in _tri(list(range(len(rays))), rays, k):
             V = [rays[i] for i in cell]
-            flags = _half_open_flags(V, y)
-            den_key, coeffs, npoints = _cell_series(V, flags, cols, n)
-            spent += npoints
+            adj, det = _cell_adjugate(V)
+            spent += det
             if spent > point_limit:
                 raise CapacityError(
                     f"cone decomposition needs more than {point_limit} "
                     f"fundamental-domain points"
                 )
-            if den_key in groups:
-                groups[den_key] = poly_add(groups[den_key], coeffs)
-            else:
-                groups[den_key] = tuple(coeffs)
+            cells.append((V, adj, det))
+    groups = {}
+    for V, adj, det in cells:
+        flags = _half_open_flags(adj, y)
+        den_key, coeffs = _cell_series(V, flags, cols, n, (adj, det))
+        if den_key in groups:
+            groups[den_key] = poly_add(groups[den_key], coeffs)
+        else:
+            groups[den_key] = tuple(coeffs)
     return _combine(groups)

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .bruteforce import invariant_monomial_counts, sl2_sym_character_brute
+from .certify import shell_a_invariant
 from .errors import ReconstructionError, SchemaError
 from .series import HilbertSeries, binomial_poly_one_minus_t2
 from .sl2 import (
@@ -344,7 +345,7 @@ def _run_sl2(req: AnalysisRequest) -> AnalysisReport:
         shell = HilbertSeries(binomial_poly_one_minus_t2(3), (1,) * (2 * V.n))
         body["shell"] = {
             "series": _series_dict(shell),
-            "a_invariant": 6 - 2 * V.n,
+            "a_invariant": shell_a_invariant(3, V.n),
             "dimension": 2 * V.n - 3,
         }
     elif core.irreps:

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .certify import GorensteinVerdict, stanley_check
+from .certify import GorensteinVerdict, shell_a_invariant, stanley_check
 from .errors import CapacityError, ReconstructionError
 from .exactlin import (
     elementary_divisors,
@@ -998,7 +998,7 @@ def shell_diagnostics(A: WeightMatrix) -> TorusShellDiagnostics:
             "0-modular module: stratum dimensions contradict 0-modularity; "
             "please report this input"
         )
-    a_shell = 2 * ell - 2 * n
+    a_shell = shell_a_invariant(ell, n)
 
     caveats = []
     reduced_is_raw = large.stable and large.faithful_up_to_finite

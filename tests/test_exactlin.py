@@ -12,6 +12,7 @@ from sympquot.exactlin import (
     elementary_divisors,
     fraction_inverse,
     fraction_rank,
+    integer_adjugate,
     integer_kernel_basis,
     integer_rank,
     nonnegative_solution,
@@ -77,6 +78,59 @@ def _det(rows):
     from sympy import Matrix
 
     return int(Matrix([list(r) for r in rows]).det())
+
+
+square_matrix = st.integers(1, 7).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+        min_size=k,
+        max_size=k,
+    )
+)
+
+
+def _matmul(a, b):
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@given(square_matrix)
+@settings(max_examples=150, deadline=None)
+def test_integer_adjugate_against_fraction_inverse(rows):
+    k = len(rows)
+    adj, det = integer_adjugate(rows)
+    assert det == _det(rows)
+    if det == 0:
+        assert adj is None
+        return
+    scaled = [[det * int(i == j) for j in range(k)] for i in range(k)]
+    assert _matmul(adj, rows) == scaled
+    assert _matmul(rows, adj) == scaled
+    inv = fraction_inverse(rows)
+    assert adj == [[inv[i][j] * det for j in range(k)] for i in range(k)]
+
+
+@given(square_matrix, st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_adjugate_singular_gives_zero_determinant(rows, data):
+    # make one row a combination of the others (or zero when k = 1)
+    k = len(rows)
+    i = data.draw(st.integers(0, k - 1))
+    coef = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    rows[i] = [
+        sum(coef[t] * rows[t][j] for t in range(k) if t != i) for j in range(k)
+    ]
+    assert integer_adjugate(rows) == (None, 0)
+
+
+def test_integer_adjugate_pinned():
+    assert integer_adjugate([[2, 1], [7, 4]]) == ([[4, -1], [-7, 2]], 1)
+    # a zero leading pivot needs a row swap, which flips the sign
+    assert integer_adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)
+    assert integer_adjugate([[5]]) == ([[1]], 5)
+    assert integer_adjugate([[1, 2], [2, 4]]) == (None, 0)
 
 
 @given(small_matrix)

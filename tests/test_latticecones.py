@@ -6,26 +6,130 @@ strictly positive vector.  The cross-check below uses the identity
     Hilb_{C[V+V*]^T}(t) = G_L(t) / (1-t^2)^n,    L = ker(A) in Z^n,
 
 which pairs the decomposition engine with the independent truncated DP.
+The double-description ray finder is checked against the subset scan it
+replaced, kept here as a reference.
 """
 
+import math
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sympquot.latticecones as latticecones
 from sympquot.errors import CapacityError
+from sympquot.exactlin import integer_kernel_basis, integer_rank
 from sympquot.latticecones import (
     _cell_series,
+    _extreme_rays,
+    _facet_subsets,
+    _primitive,
     negative_image_point,
     norm_generating_function,
 )
-from sympquot.series import HilbertSeries
+from sympquot.series import HilbertSeries, binomial_poly_one_minus_t2
 from sympquot.torus import (
     WeightMatrix,
     _reduced_kernel_basis,
     invariant_series_dp,
     largeness_report,
+    quotient_series,
     stable_reduction,
 )
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _extreme_rays_by_subsets(normals, k):
+    """Reference: the 1-dimensional kernels of the (k-1)-subsets of the
+    normals, kept when feasible with an active set of rank k-1."""
+    normals = sorted(set(map(tuple, normals)))
+    rays = set()
+    if k == 1:
+        for cand in ((1,), (-1,)):
+            if all(_dot(u, cand) >= 0 for u in normals):
+                rays.add(cand)
+        return sorted(rays)
+    for subset in combinations(range(len(normals)), k - 1):
+        ker = integer_kernel_basis([normals[i] for i in subset], k)
+        if len(ker) != 1:
+            continue
+        g = math.gcd(*ker[0])
+        r = tuple(v // g for v in ker[0])
+        for cand in (r, tuple(-v for v in r)):
+            if all(_dot(u, cand) >= 0 for u in normals):
+                active = [u for u in normals if _dot(u, cand) == 0]
+                if integer_rank(active) == k - 1:
+                    rays.add(cand)
+    return sorted(rays)
+
+
+def _facet_subsets_by_subsets(rays, k):
+    return sorted(
+        {
+            tuple(i for i, r in enumerate(rays) if _dot(f, r) == 0)
+            for f in _extreme_rays_by_subsets(rays, k)
+        }
+    )
+
+
+@st.composite
+def pointed_cones(draw):
+    """(normals, k): normals in [-3, 3]^k spanning Q^k, some repeated and
+    some negated (which cuts the cone down to a lower-dimensional one, or
+    to {0})."""
+    k = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    normals = draw(st.lists(st.tuples(*[entry] * k), min_size=k, max_size=k + 3))
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, len(normals) - 1), st.booleans()), max_size=2)
+    )
+    for i, negate in picks:
+        u = normals[i]
+        normals.append(tuple(-v for v in u) if negate else u)
+    assume(integer_rank(normals) == k)
+    return normals, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones())
+def test_extreme_rays_match_the_subset_scan(cone):
+    normals, k = cone
+    rays = _extreme_rays(normals, k)
+    assert rays == _extreme_rays_by_subsets(normals, k), (normals, k)
+    if rays and integer_rank(rays) == k:
+        assert _facet_subsets(rays, k) == _facet_subsets_by_subsets(rays, k)
+
+
+def test_extreme_rays_pinned_cases():
+    # the positive quadrant, with a duplicate and a positive multiple
+    assert _extreme_rays([(1, 0), (0, 1), (1, 0), (2, 0)], 2) == [(0, 1), (1, 0)]
+    # a lower-dimensional pointed cone: the ray x = 0, y >= 0
+    assert _extreme_rays([(1, 0), (-1, 0), (0, 1)], 2) == [(0, 1)]
+    # the cone {0}
+    assert _extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], 3) == []
+    # k = 1
+    assert _extreme_rays([(2,), (3,)], 1) == [(1,)]
+    assert _extreme_rays([(2,), (-3,)], 1) == []
+    # the dual of the positive orthant cone has the coordinate facets
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _facet_subsets(rays, 3) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_extreme_rays_refuse_a_cone_that_is_not_pointed():
+    with pytest.raises(RuntimeError, match="please report"):
+        _extreme_rays([(1, 0), (2, 0), (0, 0)], 2)
+    with pytest.raises(RuntimeError, match="please report"):
+        _extreme_rays([], 1)
+
+
+def test_zero_ray_is_a_loud_error():
+    with pytest.raises(RuntimeError, match="please report"):
+        _primitive((0, 0, 0))
 
 
 def test_empty_basis_is_the_constant_one():
@@ -70,6 +174,30 @@ def test_point_limit_triggers_capacity_error():
     # the same input goes through at the default limit
     num, den = norm_generating_function(basis)
     assert HilbertSeries(num, den).expand(8).coeffs[0] == 1
+
+
+def test_point_limit_is_checked_before_enumerating(monkeypatch):
+    # the cap is compared with the cells' |det V| before any cell's points
+    # are walked
+    basis = ((7, 5, 0), (-3, 0, 5))
+    seen = []
+    real = latticecones._cell_series
+
+    def counting(V, flags, bcols, n, adjugate=None):
+        seen.append(adjugate[1])
+        return real(V, flags, bcols, n, adjugate)
+
+    monkeypatch.setattr(latticecones, "_cell_series", counting)
+    norm_generating_function(basis)
+    dets = list(seen)
+    for limit in (dets[0] - 1, sum(dets) - 1):
+        seen.clear()
+        with pytest.raises(CapacityError):
+            norm_generating_function(basis, point_limit=limit)
+        assert seen == []
+    seen.clear()
+    norm_generating_function(basis, point_limit=sum(dets))
+    assert seen == dets
 
 
 def test_negative_image_point_contract():
@@ -126,3 +254,22 @@ def test_against_dp_on_hard_wide_matrix():
     series = HilbertSeries(num, den + (2,) * red.module_dim)
     dp = invariant_series_dp(red, 14)
     assert series.expand(14).coeffs == dp.coeffs
+
+
+def test_n8_module_takes_the_cone_route(monkeypatch):
+    # a stable faithful n = 8 module whose decomposition fits under the
+    # default point limit; the recurrence fallback must not run
+    A = WeightMatrix(
+        ((1, 3, 2, -2, -3, 1, 1, 2), (-2, -1, -3, 1, 2, -3, 1, -3))
+    )
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the recurrence fallback ran")
+
+    monkeypatch.setattr("sympquot.torus.minimal_rational_form", no_fallback)
+    result = quotient_series(A)
+    red = stable_reduction(A).reduced_matrix
+    dp = invariant_series_dp(red, 12).mul_poly(binomial_poly_one_minus_t2(2))
+    assert result.series.expand(12).coeffs == dp.coeffs
+    assert result.verdict.graded_gorenstein
+    assert result.verdict.dimension == 12

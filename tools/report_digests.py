@@ -15,13 +15,17 @@ report's machine format (``AnalysisReport.to_json``, what ``analyze
 - ``sl2-extra:<irreps>``: R4+R3, R6+R1 and R5+R2 at degree 40, which end
   in a ``ReconstructionError`` report after a long candidate search;
 - ``cli-torus:<i>``: the six torus requests of the ``cli-cold`` workload,
-  presented as seed 1 presents them.
+  presented as seed 1 presents them;
+- ``n8``: a stable faithful n = 8 torus module (``N8_MODULE``) that goes
+  through the cone decomposition.
 
 A request that ends in ``CapacityError`` is digested as its message.  The
 package is imported from ``--src`` (default: this checkout's ``src``), so
 running the script once with each of two checkouts' ``src`` and diffing the
 outputs compares their reports.  It takes about a minute and a half on a
-2-vCPU host, most of it in the test_07 modules.
+2-vCPU host, most of it in the test_07 modules; the n = 8 module takes
+about 5 s of it, but about two minutes with a cone decomposition that
+finds extreme rays by scanning subsets of normals.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+N8_MODULE = [[1, 3, 2, -2, -3, 1, 1, 2], [-2, -1, -3, 1, 2, -3, 1, -3]]
 
 
 def test07_modules():
@@ -86,6 +92,7 @@ def requests():
         (f"cli-torus:{i}", {"kind": "torus", "weights": corpus.present(corpus.TORUS_BASE[i], rng), "seed": 1})
         for i in corpus.CLI_TORUS
     ]
+    out.append(("n8", {"kind": "torus", "weights": N8_MODULE}))
     return out
 
 
