@@ -319,6 +319,7 @@ def _run_sl2(req: AnalysisRequest) -> AnalysisReport:
 
     core = V.nontrivial_part()
     zero_modular = None
+    probe = None
     if core.irreps:
         cls = classify_largeness(core)
         zero_modular = cls.zero_modular
@@ -364,7 +365,7 @@ def _run_sl2(req: AnalysisRequest) -> AnalysisReport:
     failed = False
     try:
         q = koszul_quotient_series(
-            V, req.degree, req.denominators, probe_seed=req.seed
+            V, req.degree, req.denominators, probe_seed=req.seed, probe=probe
         )
         body["quotient"] = {
             "series": _series_dict(q.series),

@@ -34,6 +34,8 @@ ADJOINT_DIM = 3  # dim sl2; the shell is cut by three quadratic components
 # Most candidate denominators one search may try; the SL2 ladder and R8,
 # R6+R2, R4+R3, R5+R2 at degrees <= 56 need at most 13,702.
 CANDIDATE_LIMIT = 250_000
+# Trials of the Koszul gate's Jacobian probe; the evidence text quotes them.
+KOSZUL_PROBE_TRIALS = 4
 
 
 @dataclass(frozen=True)
@@ -291,6 +293,8 @@ class JacobianProbe:
     probabilistic: ranks are maxima over sampled points, so they are lower
     bounds on the generic ranks; shell_dim_estimate = 2n - on_shell_rank
     equals 2n - 3 exactly when full rank is attained on the shell.
+    on_shell_ranks[k - 1] is the on-shell rank after the first k trials,
+    which is what a probe with the same seed and k trials reports.
     """
 
     on_shell_rank: int
@@ -298,6 +302,7 @@ class JacobianProbe:
     shell_dim_estimate: int
     trials: int
     seed: int
+    on_shell_ranks: tuple[int, ...]
     probabilistic: bool = True
 
 
@@ -309,6 +314,7 @@ def jacobian_rank_probe(V: SL2Module, trials=12, *, seed=0) -> JacobianProbe:
     rng = random.Random(seed)
     on_rank = 0
     off_rank = 0
+    running = []
     for _ in range(trials):
         z = [rng.randint(-9, 9) for _ in range(n)]
         w = [rng.randint(-9, 9) for _ in range(n)]
@@ -323,12 +329,14 @@ def jacobian_rank_probe(V: SL2Module, trials=12, *, seed=0) -> JacobianProbe:
         wk = shell_point_from_kernel(forms, z, rng)
         if wk is not None and on_shell(forms, z, wk):
             on_rank = max(on_rank, jacobian_rank(forms, z, wk))
+        running.append(on_rank)
     return JacobianProbe(
         on_shell_rank=on_rank,
         off_shell_rank=off_rank,
         shell_dim_estimate=2 * n - on_rank,
         trials=trials,
         seed=seed,
+        on_shell_ranks=tuple(running),
     )
 
 
@@ -420,7 +428,7 @@ def _multisets_by_sum(pool, k, cap):
 
 
 def koszul_quotient_series(
-    V: SL2Module, D=24, denominators=None, *, guard=4, probe_seed=0
+    V: SL2Module, D=24, denominators=None, *, guard=4, probe_seed=0, probe=None
 ) -> SL2QuotientResult:
     """Quotient Hilbert series via the Koszul alternating sum.
 
@@ -435,6 +443,11 @@ def koszul_quotient_series(
     exponents, from the guessed generator degrees and their lcms, with sum
     at most D - guard; more than CANDIDATE_LIMIT of them raise
     CapacityError before any is tried.
+
+    The gate's probe has KOSZUL_PROBE_TRIALS trials with seed
+    ``probe_seed``.  A caller that has already probed the nontrivial part
+    with that seed and at least as many trials passes it as ``probe``; its
+    first trials draw the same points, so no second probe is run.
     """
     m0 = V.trivial_summands
     core = V.nontrivial_part()
@@ -451,13 +464,23 @@ def koszul_quotient_series(
         )
 
     cls = classify_largeness(core)
-    probe = jacobian_rank_probe(core, trials=4, seed=probe_seed)
-    consistent = probe.on_shell_rank == ADJOINT_DIM
+    if probe is None:
+        probe = jacobian_rank_probe(
+            core, trials=KOSZUL_PROBE_TRIALS, seed=probe_seed
+        )
+    elif probe.seed != probe_seed or probe.trials < KOSZUL_PROBE_TRIALS:
+        raise ValueError(
+            f"the gate needs a probe with seed {probe_seed} and at least "
+            f"{KOSZUL_PROBE_TRIALS} trials, not seed {probe.seed} with "
+            f"{probe.trials}"
+        )
+    on_rank = probe.on_shell_ranks[KOSZUL_PROBE_TRIALS - 1]
+    consistent = on_rank == ADJOINT_DIM
     evidence = (
         f"classification list (exact): {core} is "
         f"{'0-modular' if cls.zero_modular else 'not 0-modular'}; "
         f"jacobian probe (probabilistic, seed {probe_seed}): on-shell rank "
-        f"{probe.on_shell_rank} ({'consistent' if consistent == cls.zero_modular else 'tension — trusting the exact list'})"
+        f"{on_rank} ({'consistent' if consistent == cls.zero_modular else 'tension — trusting the exact list'})"
     )
     if not cls.zero_modular:
         raise ValueError(

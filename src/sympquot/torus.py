@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .series import (
     staircase_exponents,
 )
 
-SUPPORT_ENUMERATION_LIMIT = 16  # 2^n support subsets are enumerated
+CLOSURE_LIMIT = 1 << 16  # column subsets whose span largeness may close
 
 
 @dataclass(frozen=True)
@@ -259,22 +259,45 @@ def stable_reduction(A: WeightMatrix) -> ReductionTrace:
 
 
 @lru_cache(maxsize=8)
-def _rank_by_mask(A: WeightMatrix):
-    """rank(A_S) for every column-support bitmask S (list indexed by mask)."""
+def _flat_sizes(A: WeightMatrix):
+    """(rank A, f) with f[s] the size of the largest flat of rank s.
+
+    A flat is a set of columns closed under linear span; s runs over
+    0..min(ell - 1, rank A).  The largest set of rank s is a flat, the
+    closure of any independent s-subset S: the columns annihilated by
+    every vector of the kernel of A_S^T.  For s = 0 that is the zero
+    columns.  Before any rank is computed, the number of s-subsets with
+    s <= min(ell - 1, n) is checked against CLOSURE_LIMIT: that is the
+    number of closures when rank A >= ell - 1, and a bound otherwise.
+    """
     ell, n = A.torus_rank, A.module_dim
-    if n > SUPPORT_ENUMERATION_LIMIT:
+    top = min(ell - 1, n)
+    count = sum(math.comb(n, s) for s in range(top + 1))
+    if count > CLOSURE_LIMIT:
         raise CapacityError(
-            f"support enumeration needs 2^{n} subsets; refusing n > "
-            f"{SUPPORT_ENUMERATION_LIMIT}"
+            f"largeness needs the closures of {count} column subsets of size "
+            f"< {ell} (n = {n}); refusing more than {CLOSURE_LIMIT}"
         )
+    rank = integer_rank(A.rows)
     cols = A.columns
-    ranks = [0] * (1 << n)
     if ell == 0:
-        return ranks
-    for mask in range(1, 1 << n):
-        sub = [cols[j] for j in range(n) if mask >> j & 1]
-        ranks[mask] = integer_rank(sub, limit=ell)
-    return ranks
+        return rank, ()
+    sizes = [sum(1 for c in cols if not any(c))]
+    for s in range(1, min(top, rank) + 1):
+        best = 0
+        for S in combinations(range(n), s):
+            kernel = integer_kernel_basis([cols[j] for j in S], ell)
+            if len(kernel) != ell - s:
+                continue  # S is dependent
+            size = sum(
+                1
+                for c in cols
+                if not any(sum(a * b for a, b in zip(y, c)) for y in kernel)
+            )
+            if size > best:
+                best = size
+        sizes.append(best)
+    return rank, tuple(sizes)
 
 
 @dataclass(frozen=True)
@@ -297,31 +320,27 @@ class TorusLargenessReport:
 
 
 def largeness_report(A: WeightMatrix) -> TorusLargenessReport:
-    """Isotropy-stratification largeness data.
+    """Isotropy-stratification largeness data, from the lattice of flats.
 
     The isotropy dimension of a support S is ell - rank(A_S), and
-    dim V_(r) = max{|S| : ell - rank(A_S) = r}; max_k_modular is the
-    largest k with codim V_(r) >= r + k for every r >= 1 that occurs,
-    or -1 when even 0-modularity fails.  For ell = 0 every such condition
-    is vacuous and max_k_modular is reported as n.
+    dim V_(r) = max{|S| : ell - rank(A_S) = r}.  The largest support of
+    rank s is a flat, so dim V_(ell - s) = f(s), the size of the largest
+    flat of rank s, for s = 0..min(ell - 1, rank A); these are the strata
+    with r >= 1.  max_k_modular is the largest k with
+    codim V_(r) >= r + k for every such r, or -1 when even 0-modularity
+    fails.  For ell = 0 every such condition is vacuous and max_k_modular
+    is reported as n.
     """
     ell, n = A.torus_rank, A.module_dim
-    ranks = _rank_by_mask(A)
-    rank_full = ranks[-1] if n else 0
-    faithful = rank_full == ell
+    rank, flats = _flat_sizes(A)
+    faithful = rank == ell
     stable = is_stable(A)
     zero_cols = sum(1 for j in range(n) if not any(A.column(j)))
 
-    dims = {}
-    for mask in range(1 << n):
-        r = ell - ranks[mask]
-        size = mask.bit_count()
-        if dims.get(r, -1) < size:
-            dims[r] = size
     if ell == 0:
         max_k = n
     else:
-        max_k = min(n - dims[r] - r for r in dims if r >= 1)
+        max_k = min(n - size - (ell - s) for s, size in enumerate(flats))
         if max_k < 0:
             max_k = -1
 
@@ -956,40 +975,21 @@ def shell_diagnostics(A: WeightMatrix) -> TorusShellDiagnostics:
     Strata of N are indexed by support pairs (P, Q) for (z, w); the
     stratum dimension is |P u Q| + |I| - rank(A_I) with I = P n Q feasible
     (the kernel of A_I meets the open orthant; equivalently no column of I
-    is a coloop).  dim N maximizes this; the infinite-isotropy locus
-    restricts to supports U = P u Q with rank(A_U) < ell.  Under
+    is a coloop).  For a support U = P u Q the best feasible I inside U is
+    its coloop-free core: dropping a coloop lowers |I| and rank(A_I) by
+    one each, and nullity never grows on a subset, so the best value is
+    the nullity |U| - rank(A_U).  Hence dim N = n + (n - rank A) =
+    2n - rank A.  The infinite-isotropy locus restricts to supports with
+    rank(A_U) = s < ell, of dimension 2|U| - s, largest on the largest
+    flat of rank s: its dimension is max over s of 2 f(s) - s.  Under
     0-modularity those are exactly the singular points (Jacobian
     criterion); normality is then the codimension->=2 test.
     """
     ell, n = A.torus_rank, A.module_dim
     large = largeness_report(A)
-    ranks = _rank_by_mask(A)
-    full = (1 << n) - 1
-
-    NEG = -(10**9)
-    g = [NEG] * (1 << n)
-    for mask in range(1 << n):
-        feasible = True
-        for j in range(n):
-            if mask >> j & 1 and ranks[mask] != ranks[mask & ~(1 << j)]:
-                feasible = False
-                break
-        if feasible:
-            g[mask] = mask.bit_count() - ranks[mask]
-    gm = list(g)
-    for j in range(n):
-        bit = 1 << j
-        for mask in range(1 << n):
-            if mask & bit and gm[mask ^ bit] > gm[mask]:
-                gm[mask] = gm[mask ^ bit]
-    shell_dim = n + gm[full] if n else 0
-
-    iso_dim = -1
-    for mask in range(1 << n):
-        if ranks[mask] < ell:
-            d = mask.bit_count() + gm[mask]
-            if d > iso_dim:
-                iso_dim = d
+    rank, flats = _flat_sizes(A)
+    shell_dim = 2 * n - rank
+    iso_dim = max((2 * size - s for s, size in enumerate(flats)), default=-1)
 
     zero_modular = large.max_k_modular >= 0
     if zero_modular and shell_dim != 2 * n - ell:

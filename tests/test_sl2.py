@@ -258,6 +258,61 @@ def test_jacobian_probe_deterministic_and_full_rank():
         jacobian_rank_probe(SL2Module((2,)), trials=0)
 
 
+def test_koszul_reuses_a_longer_probe_with_the_same_seed(monkeypatch):
+    # the first 4 of 8 trials draw the points a 4-trial probe draws, so the
+    # gate can read its evidence from a longer probe with the same seed
+    def no_probe(*args, **kwargs):
+        raise AssertionError("the gate ran a second probe")
+
+    for irreps in [(2, 2), (1, 1), (2, 1)]:
+        V = SL2Module(irreps)
+        for seed in (0, 7):
+            longer = jacobian_rank_probe(V, trials=8, seed=seed)
+            assert longer.on_shell_ranks[-1] == longer.on_shell_rank
+            assert longer.on_shell_ranks[3] == (
+                jacobian_rank_probe(V, trials=4, seed=seed).on_shell_rank
+            )
+            own = koszul_quotient_series(V, 24, probe_seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(sl2, "jacobian_rank_probe", no_probe)
+                reused = koszul_quotient_series(
+                    V, 24, probe_seed=seed, probe=longer
+                )
+            assert reused == own
+    V = SL2Module((2, 2))
+    for probe in (
+        jacobian_rank_probe(V, trials=3, seed=0),
+        jacobian_rank_probe(V, trials=8, seed=1),
+    ):
+        with pytest.raises(ValueError, match="probe with seed 0"):
+            koszul_quotient_series(V, 24, probe=probe)
+
+
+def test_pipeline_probes_each_sl2_request_once(monkeypatch):
+    from sympquot import pipeline
+
+    calls = []
+
+    def counted(real):
+        def probe(*args, **kwargs):
+            calls.append(kwargs.get("trials"))
+            return real(*args, **kwargs)
+
+        return probe
+
+    for module in (pipeline, sl2):
+        monkeypatch.setattr(
+            module, "jacobian_rank_probe", counted(module.jacobian_rank_probe)
+        )
+    report = pipeline.run(
+        pipeline.parse_request({"kind": "sl2", "irreps": [2, 2], "seed": 7})
+    )
+    assert calls == [8]
+    assert "seed 7): on-shell rank 3 (consistent)" in (
+        report.body["quotient"]["complete_intersection_evidence"]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Koszul quotient series
 

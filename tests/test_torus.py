@@ -1,5 +1,7 @@
 """Torus analyzer: reduction, largeness, DP, generators, quotient series."""
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -11,10 +13,12 @@ from sympquot.bruteforce import (
     lineal_columns_brute,
     minimal_generator_monomials_brute,
 )
-from sympquot.errors import ReconstructionError
+from sympquot.errors import CapacityError, ReconstructionError
+from sympquot.exactlin import elementary_divisors, integer_rank
 from sympquot.quadforms import MomentForm
 from sympquot.series import HilbertSeries
 from sympquot.torus import (
+    TorusLargenessReport,
     WeightMatrix,
     _lineality_columns,
     invariant_series_dp,
@@ -137,6 +141,145 @@ def test_largeness_report_pinned():
     rep = largeness_report(WeightMatrix(((0, 0),)))
     assert rep.stable and not rep.faithful_up_to_finite
     assert rep.zero_columns == 2
+
+
+def _rank_by_mask(A):
+    """rank(A_S) for every column-support bitmask S (list indexed by mask)."""
+    ell, n = A.torus_rank, A.module_dim
+    cols = A.columns
+    ranks = [0] * (1 << n)
+    if ell == 0:
+        return ranks
+    for mask in range(1, 1 << n):
+        sub = [cols[j] for j in range(n) if mask >> j & 1]
+        ranks[mask] = integer_rank(sub, limit=ell)
+    return ranks
+
+
+def _largeness_by_masks(A):
+    """largeness_report from the ranks of all 2^n column supports."""
+    ell, n = A.torus_rank, A.module_dim
+    ranks = _rank_by_mask(A)
+    faithful = (ranks[-1] if n else 0) == ell
+    stable = is_stable(A)
+    zero_cols = sum(1 for j in range(n) if not any(A.column(j)))
+    dims = {}
+    for mask in range(1 << n):
+        r = ell - ranks[mask]
+        dims[r] = max(dims.get(r, -1), mask.bit_count())
+    if ell == 0:
+        max_k = n
+    else:
+        max_k = max(min(n - dims[r] - r for r in dims if r >= 1), -1)
+    if faithful:
+        order = math.prod(elementary_divisors(A.rows)) if ell else 1
+    else:
+        order = None
+    return TorusLargenessReport(
+        faithful_up_to_finite=faithful,
+        stable=stable,
+        fpig=stable and faithful,
+        max_k_modular=max_k,
+        one_large=stable and faithful,
+        dim_bound_ok=ell == 0 or ell + max_k <= n - zero_cols,
+        finite_kernel_order=order,
+        zero_columns=zero_cols,
+    )
+
+
+def _shell_dims_by_masks(A):
+    """(shell_dim, infinite_isotropy_dim) from the stratum dimensions.
+
+    A support I is feasible when no column of I is a coloop of A_I, with
+    value |I| - rank(A_I); gm[U] is the best value over feasible I inside
+    U, by a subset-max transform.
+    """
+    ell, n = A.torus_rank, A.module_dim
+    ranks = _rank_by_mask(A)
+    NEG = -(10**9)
+    gm = [NEG] * (1 << n)
+    for mask in range(1 << n):
+        if all(
+            ranks[mask] == ranks[mask & ~(1 << j)]
+            for j in range(n)
+            if mask >> j & 1
+        ):
+            gm[mask] = mask.bit_count() - ranks[mask]
+    for j in range(n):
+        bit = 1 << j
+        for mask in range(1 << n):
+            if mask & bit and gm[mask ^ bit] > gm[mask]:
+                gm[mask] = gm[mask ^ bit]
+    shell_dim = n + gm[-1] if n else 0
+    iso_dim = max(
+        (m.bit_count() + gm[m] for m in range(1 << n) if ranks[m] < ell),
+        default=-1,
+    )
+    return shell_dim, iso_dim
+
+
+@st.composite
+def largeness_matrices(draw):
+    """ell <= 4, n <= 10, entries in [-2, 2] with zeros weighted up, some
+    rows forced dependent and some columns forced zero."""
+    ell = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 10))
+    entry = st.sampled_from((0, 0, 0, -2, -1, 1, 2))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(ell)]
+    if ell and draw(st.integers(0, 4)) == 0:
+        others = ell - 1
+        coeffs = draw(st.lists(st.integers(-1, 1), min_size=others, max_size=others))
+        rows[-1] = [
+            sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)
+        ]
+    if n:
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+    return WeightMatrix(rows, width=n)
+
+
+@given(largeness_matrices())
+@settings(max_examples=120, deadline=None)
+def test_largeness_and_shell_from_flats_match_support_masks(A):
+    large = _largeness_by_masks(A)
+    assert largeness_report(A) == large
+    diag = shell_diagnostics(A)
+    shell_dim, iso_dim = _shell_dims_by_masks(A)
+    # every other field is decided from these by code both routes share
+    assert diag == dataclasses.replace(
+        diag,
+        largeness=large,
+        shell_dim=shell_dim,
+        infinite_isotropy_dim=iso_dim,
+        singular_locus_dim=iso_dim if diag.zero_modular else None,
+    )
+
+
+def test_largeness_beyond_sixteen_columns():
+    # 2^20 supports, but the flats of rank < 2 give f(0) = 0 and f(1) = 8
+    cols = [(1, 0)] * 8 + [(0, 1)] * 7 + [(1, 1)] * 5
+    diag = shell_diagnostics(WeightMatrix(tuple(zip(*cols))))
+    assert diag.largeness.max_k_modular == 11  # min(20 - 0 - 2, 20 - 8 - 1)
+    assert diag.shell_dim == 38  # 2n - rank A
+    assert diag.infinite_isotropy_dim == 15  # 2 f(1) - 1
+
+
+def test_largeness_refuses_before_any_rank(monkeypatch):
+    # ell = 6, n = 40: sum_{s <= 5} C(40, s) = 760,099 closures
+    from sympquot import torus
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("a rank was computed before the cap check")
+
+    monkeypatch.setattr(torus, "integer_rank", no_rank)
+    rng = random.Random(6)
+    A = WeightMatrix(
+        tuple(tuple(rng.randint(-3, 3) for _ in range(40)) for _ in range(6))
+    )
+    for report in (largeness_report, shell_diagnostics):
+        with pytest.raises(CapacityError, match="760099 column subsets"):
+            report(A)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,18 @@ report's machine format (``AnalysisReport.to_json``, what ``analyze
 - ``n8``: a stable faithful n = 8 torus module (``N8_MODULE``) that goes
   through the cone decomposition.
 
-A request that ends in ``CapacityError`` is digested as its message.  The
-package is imported from ``--src`` (default: this checkout's ``src``), so
-running the script once with each of two checkouts' ``src`` and diffing the
-outputs compares their reports.  It takes about a minute and a half on a
-2-vCPU host, most of it in the test_07 modules; the n = 8 module takes
-about 5 s of it, but about two minutes with a cone decomposition that
-finds extreme rays by scanning subsets of normals.
+A request that ends in ``CapacityError`` is digested as its message.  Then
+one ``largeness:ell<ell>n<n>`` line per module of the ``torus-largeness``
+workload (drawn as ``corpus.torus_largeness`` draws them, unpresented)
+digests ``repr(shell_diagnostics(A))``, which holds the largeness report
+too.  The package is imported from ``--src`` (default: this checkout's
+``src``), so running the script once with each of two checkouts' ``src``
+and diffing the outputs compares their reports.  It takes about a minute
+and a half on a 2-vCPU host, most of it in the test_07 modules; the n = 8
+module takes about 5 s of it, but about two minutes with a cone
+decomposition that finds extreme rays by scanning subsets of normals.  The
+largeness lines take about 1 s, but about 8 s where largeness ranks all
+2^n column subsets.
 """
 
 from __future__ import annotations
@@ -96,6 +101,20 @@ def requests():
     return out
 
 
+def largeness_modules():
+    """(label, weight rows) of the torus-largeness modules, in corpus order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+
+    return [
+        (
+            f"largeness:ell{ell}n{n}",
+            corpus.random_module(ell, n, corpus._rng("torus-largeness", "modules", ell, n)),
+        )
+        for ell, n in corpus.LARGENESS_SHAPES
+    ]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the sympquot package")
@@ -107,12 +126,16 @@ def main(argv=None):
     sys.path.insert(0, str(Path(args.src).resolve()))
     from sympquot.errors import CapacityError
     from sympquot.pipeline import parse_request, run
+    from sympquot.torus import WeightMatrix, shell_diagnostics
 
     for label, obj in requests():
         try:
             text = run(parse_request(obj)).to_json()
         except CapacityError as exc:
             text = f"CapacityError: {exc}"
+        print(label, hashlib.sha1(text.encode("utf-8")).hexdigest(), flush=True)
+    for label, rows in largeness_modules():
+        text = repr(shell_diagnostics(WeightMatrix(rows)))
         print(label, hashlib.sha1(text.encode("utf-8")).hexdigest(), flush=True)
 
 
