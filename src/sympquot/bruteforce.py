@@ -128,7 +128,8 @@ def lineal_columns_brute(A: WeightMatrix):
 
 def rank_oracle(rows):
     """Rank over Q via sympy, as an independent check on the hand-rolled
-    elimination."""
+    elimination.  Only tests call it, so sympy is a test dependency (the
+    ``test`` extra), not a dependency of the package."""
     from sympy import Matrix
 
     if not rows or not rows[0]:

@@ -4,14 +4,17 @@ Small dense matrices only (weight matrices, moment-map Jacobians), so the
 routines favour clarity and exactness over asymptotics: fraction-free
 elimination for ranks and for the adjugate, an extended-gcd row ladder for
 unimodular reduction, and a Bland's-rule simplex over Fraction for cone
-membership.  The Smith
-normal form is delegated to sympy.
+membership.  The lattice normal forms are exact integer ports: the Hermite
+normal form by Cohen's Algorithm 2.4.5 (*A Course in Computational
+Algebraic Number Theory*), LLL reduction (Lenstra-Lenstra-Lovasz 1982)
+with delta = 3/4 over Fraction, and the Smith form's elementary divisors
+by a least-pivot diagonalisation.  No computer-algebra system is imported.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 
 def integer_rank(rows, limit=None):
@@ -190,20 +193,162 @@ def integer_kernel_basis(rows, width):
     return [U[i] for i in range(r, width)]
 
 
-def elementary_divisors(rows):
-    """Nonzero diagonal of the Smith normal form, as positive ints."""
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
+def _gcdex(a, b):
+    """``_exgcd`` with y = 0 when a | b, which keeps Hermite entries small."""
+    if a and b % a == 0:
+        return abs(a), (-1 if a < 0 else 1), 0
+    return _exgcd(a, b)
 
-    if not rows or not rows[0]:
-        return []
-    snf = smith_normal_form(Matrix([list(r) for r in rows]))
-    out = []
-    for i in range(min(snf.shape)):
-        d = int(snf[i, i])
-        if d:
-            out.append(abs(d))
-    return out
+
+def hermite_normal_form(rows):
+    """Hermite basis of the row lattice, as a tuple of rank many rows.
+
+    Cohen's Algorithm 2.4.5 on the transpose, with sympy's conventions:
+    the result equals ``hermite_normal_form(Matrix(rows).T).T``.  Columns
+    are taken from the last one back.  Each row ends in its pivot, which
+    is positive; the pivot columns increase down the rows, the entries
+    above a pivot are zero and those below it lie in [0, pivot).  The form
+    depends only on the lattice.
+    """
+    M = [list(r) for r in rows]
+    ncols = len(M[0]) if M else 0
+    k = len(M)
+    for i in range(ncols - 1, -1, -1):
+        if k == 0:
+            break
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            if M[j][i]:
+                d, u, v = _gcdex(M[k][i], M[j][i])
+                r, s = M[k][i] // d, M[j][i] // d
+                M[k], M[j] = (
+                    [u * a + v * b for a, b in zip(M[k], M[j])],
+                    [-s * a + r * b for a, b in zip(M[k], M[j])],
+                )
+        b = M[k][i]
+        if b < 0:
+            M[k] = [-a for a in M[k]]
+            b = -b
+        if b == 0:
+            k += 1
+        else:
+            for j in range(k + 1, len(M)):
+                q = M[j][i] // b
+                if q:
+                    M[j] = [a - q * c for a, c in zip(M[j], M[k])]
+    return tuple(tuple(r) for r in M[k:])
+
+
+LLL_DELTA = Fraction(3, 4)
+
+
+def lll_reduce(rows):
+    """LLL-reduced basis (delta = 3/4) of linearly independent integer rows.
+
+    Step for step the rational algorithm of Lenstra, Lenstra and Lovasz
+    (1982) as sympy's ``DomainMatrix.lll`` runs it without flint: size
+    reduction by the nearest integer floor(mu + 1/2) whenever |mu| > 1/2,
+    the Lovasz test g*_k >= (delta - mu_{k,k-1}^2) g*_{k-1}, and the swap
+    update of mu and the squared Gram-Schmidt norms g*.  LLL output
+    depends on the algorithm, not only on the lattice, so this is the same
+    algorithm, not merely an LLL.  Raises ValueError on dependent rows
+    where sympy raises its rank error.
+    """
+    y = [list(r) for r in rows]
+    m = len(y)
+    if m == 0:
+        return ()
+    if m > len(y[0]):
+        raise ValueError("LLL needs at most as many rows as columns")
+    half = Fraction(1, 2)
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    g_star = [Fraction(0)] * m
+    y_star = []
+    for i in range(m):
+        ys = [Fraction(v) for v in y[i]]
+        for j in range(i):
+            if not g_star[j]:
+                raise ValueError("LLL input rows are linearly dependent")
+            mu[i][j] = sum(a * b for a, b in zip(y[i], y_star[j])) / g_star[j]
+            ys = [a - mu[i][j] * b for a, b in zip(ys, y_star[j])]
+        y_star.append(ys)
+        g_star[i] = sum(a * a for a in ys)
+
+    def reduce_row(k, j):
+        r = floor(mu[k][j] + half)
+        y[k] = [a - r * b for a, b in zip(y[k], y[j])]
+        for z in range(j):
+            mu[k][z] -= r * mu[j][z]
+        mu[k][j] -= r
+
+    k = 1
+    while k < m:
+        if abs(mu[k][k - 1]) > half:
+            reduce_row(k, k - 1)
+        if g_star[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * g_star[k - 1]:
+            for j in range(k - 2, -1, -1):
+                if abs(mu[k][j]) > half:
+                    reduce_row(k, j)
+            k += 1
+        else:
+            nu = mu[k][k - 1]
+            alpha = g_star[k] + nu**2 * g_star[k - 1]
+            if not alpha:
+                raise ValueError("LLL input rows are linearly dependent")
+            beta = g_star[k - 1] / alpha
+            mu[k][k - 1] = nu * beta
+            g_star[k] *= beta
+            g_star[k - 1] = alpha
+            y[k], y[k - 1] = y[k - 1], y[k]
+            mu[k][: k - 1], mu[k - 1][: k - 1] = mu[k - 1][: k - 1], mu[k][: k - 1]
+            for i in range(k + 1, m):
+                xi = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - nu * xi
+                mu[i][k - 1] = mu[k][k - 1] * mu[i][k] + xi
+            k = max(k - 1, 1)
+    return tuple(tuple(r) for r in y)
+
+
+def elementary_divisors(rows):
+    """Nonzero diagonal of the Smith normal form, as positive ints.
+
+    Diagonalise by unimodular row and column operations, always pivoting
+    on an entry of least absolute value: a nonzero remainder in the
+    pivot's row or column is a smaller pivot for the next pass, so the
+    passes end.  The diagonal is then made a divisibility chain by
+    replacing pairs with their (gcd, lcm), which keeps the Smith form.
+    """
+    M = [list(r) for r in rows if any(r)]
+    diag = []
+    while M:
+        _, pi, pj = min(
+            (abs(v), i, j) for i, r in enumerate(M) for j, v in enumerate(r) if v
+        )
+        M[0], M[pi] = M[pi], M[0]
+        for r in M:
+            r[0], r[pj] = r[pj], r[0]
+        top = M[0]
+        p = top[0]
+        clean = True
+        for r in M[1:]:
+            q = r[0] // p
+            if q:
+                r[:] = [a - q * b for a, b in zip(r, top)]
+            clean = clean and not r[0]
+        for j in range(1, len(top)):
+            q = top[j] // p
+            if q:
+                for r in M:
+                    r[j] -= q * r[0]
+            clean = clean and not top[j]
+        if clean:
+            diag.append(abs(p))
+            M = [r[1:] for r in M[1:] if any(r[1:])]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 def nonnegative_solution_exists(rows, rhs):

@@ -46,8 +46,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .errors import CapacityError
 from .exactlin import (
     integer_adjugate,
@@ -312,6 +310,8 @@ def _cell_series(V, flags, bcols, n, adjugate=None):
     safe = max(bound_num, k * bound_f * max_v, n * bound_p * max_b) < _INT64_SAFE
 
     if safe and npoints > 64:
+        import numpy as np
+
         vmat = np.array(V, dtype=np.int64)
         amat = np.array(adj, dtype=np.int64)
         bmat = np.array([list(c) for c in bcols], dtype=np.int64).T  # k x n

@@ -162,6 +162,16 @@ def _verdict_dict(v):
     }
 
 
+def _reconstruction_error_dict(exc):
+    return {
+        "error": str(exc),
+        "truncation": (
+            list(exc.truncation.coeffs) if exc.truncation is not None else None
+        ),
+        "tried_denominators": [list(t) for t in exc.tried],
+    }
+
+
 @dataclass
 class AnalysisReport:
     kind: str
@@ -268,13 +278,7 @@ def _run_torus(req: AnalysisRequest) -> AnalysisReport:
             caveats.append(q.verdict.caveat)
     except ReconstructionError as exc:
         failed = True
-        body["quotient"] = {
-            "error": str(exc),
-            "truncation": (
-                list(exc.truncation.coeffs) if exc.truncation is not None else None
-            ),
-            "tried_denominators": [list(t) for t in exc.tried],
-        }
+        body["quotient"] = _reconstruction_error_dict(exc)
 
     if req.oracle:
         body["oracle"] = _torus_oracle(A, req.degree)
@@ -382,13 +386,7 @@ def _run_sl2(req: AnalysisRequest) -> AnalysisReport:
         body["quotient"] = {"unavailable": str(exc)}
     except ReconstructionError as exc:
         failed = True
-        body["quotient"] = {
-            "error": str(exc),
-            "truncation": (
-                list(exc.truncation.coeffs) if exc.truncation is not None else None
-            ),
-            "tried_denominators": [list(t) for t in exc.tried],
-        }
+        body["quotient"] = _reconstruction_error_dict(exc)
 
     if req.oracle:
         body["oracle"] = _sl2_oracle(V, req.degree)

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-import numpy as np
-
 from .certify import GorensteinVerdict, shell_a_invariant, stanley_check
 from .errors import CapacityError, ReconstructionError
 from .exactlin import (
     elementary_divisors,
     fraction_inverse,
+    hermite_normal_form,
     integer_kernel_basis,
     integer_rank,
-    nonnegative_solution_exists,
+    lll_reduce,
+    nonnegative_solution,
     row_reduce_unimodular,
 )
 from .latticecones import norm_generating_function
@@ -109,17 +109,22 @@ def _lineality_columns(A: WeightMatrix):
     """Columns j admitting c >= 0 with A c = 0 and c_j = 1 (exact simplex).
 
     These are the columns whose weights lie in the lineality part of the
-    weight cone; c_j > 0 can be scaled to c_j = 1.
+    weight cone; c_j > 0 can be scaled to c_j = 1.  Every column in the
+    support of a solution found is lineal by the same token, so the LP of
+    a column already in some solution's support is skipped.
     """
     ell, n = A.torus_rank, A.module_dim
-    out = []
+    lineal = set()
     for j in range(n):
+        if j in lineal:
+            continue
         rows = [list(r) for r in A.rows]
         rows.append([int(i == j) for i in range(n)])
         rhs = [0] * ell + [1]
-        if nonnegative_solution_exists(rows, rhs):
-            out.append(j)
-    return tuple(out)
+        sol = nonnegative_solution(rows, rhs)
+        if sol is not None:
+            lineal.update(i for i, c in enumerate(sol) if c)
+    return tuple(sorted(lineal))
 
 
 def is_stable(A: WeightMatrix):
@@ -171,24 +176,16 @@ class ReductionTrace:
 def _short_row_basis(rows):
     """Canonical short basis of the row lattice of a full-row-rank matrix.
 
-    Hermite form first (so the result depends only on the lattice, keeping
-    the reduction idempotent), then LLL to undo the entry blow-up Hermite
-    elimination tends to cause.  Returns (new_rows, L) with L integral,
-    unimodular and L * rows = new_rows.
+    Hermite normal form first (Cohen's Algorithm 2.4.5, so the result
+    depends only on the lattice, keeping the reduction idempotent), then
+    LLL with delta = 3/4 to undo the entry blow-up Hermite elimination
+    tends to cause.  Returns (new_rows, L) with L integral, unimodular and
+    L * rows = new_rows.
     """
-    from sympy import Matrix
-    from sympy.matrices.normalforms import hermite_normal_form
-
     r = len(rows)
-    hnf = hermite_normal_form(Matrix(rows).T).T.tolist()
+    hnf = hermite_normal_form(rows)
     if r > 1:
-        from sympy import ZZ
-        from sympy.polys.matrices import DomainMatrix
-
-        dm = DomainMatrix(
-            [[ZZ(int(x)) for x in row] for row in hnf], (r, len(rows[0])), ZZ
-        )
-        hnf = [[int(x) for x in row] for row in dm.lll().to_list()]
+        hnf = lll_reduce(hnf)
     gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in rows] for r1 in rows]
     ginv = fraction_inverse(gram)
     # L = new * rows^T * (rows rows^T)^{-1}; exact, must come out integral.
@@ -445,6 +442,8 @@ def invariant_series_dp(
 
 def _kernel_norm_series(basis, bounds, n, D):
     """Invariant series from the 1-norm histogram of kernel points."""
+    import numpy as np
+
     counts = np.zeros(D + 1, dtype=np.int64)
     for batch in _kernel_box_batches(basis, bounds, n):
         norms = np.abs(batch).sum(axis=1)
@@ -586,18 +585,10 @@ def _kernel_points_dfs(A: WeightMatrix, D, node_cap):
 
 def _reduced_kernel_basis(A: WeightMatrix):
     """Saturated integer kernel basis of A, LLL-reduced for short vectors."""
-    basis = [list(b) for b in integer_kernel_basis(A.rows, A.module_dim)]
+    basis = integer_kernel_basis(A.rows, A.module_dim)
     if len(basis) > 1:
-        from sympy import ZZ
-        from sympy.polys.matrices import DomainMatrix
-
-        dm = DomainMatrix(
-            [[ZZ(int(x)) for x in row] for row in basis],
-            (len(basis), A.module_dim),
-            ZZ,
-        )
-        basis = [[int(x) for x in row] for row in dm.lll().to_list()]
-    return basis
+        basis = lll_reduce(basis)
+    return [list(b) for b in basis]
 
 
 def _kernel_box_plan(A: WeightMatrix, D):
@@ -629,6 +620,8 @@ def _kernel_box_plan(A: WeightMatrix, D):
 def _kernel_box_batches(basis, bounds, n):
     """Numpy batches jointly covering the planned box exactly once each
     (callers filter by 1-norm; the box may overshoot)."""
+    import numpy as np
+
     k = len(basis)
     if k == 0:
         yield np.zeros((1, n), dtype=np.int64)
@@ -671,6 +664,8 @@ def _kernel_points(A: WeightMatrix, D, enum_cap):
     basis, bounds, box = _kernel_box_plan(A, D)
     if box > min(enum_cap, KERNEL_BOX_PREFERRED):
         return _kernel_points_dfs(A, D, enum_cap)
+    import numpy as np
+
     out = []
     for batch in _kernel_box_batches(basis, bounds, A.module_dim):
         norms = np.abs(batch).sum(axis=1)

@@ -3,7 +3,8 @@
 reduced_fraction, cyclotomic_multiplicities and poly_exact_div work with
 integers only.  Here sympy (cyclotomic polynomials, polynomial gcd) and a
 Fraction long division serve as independent references; the series module
-itself must not import sympy, which a fresh interpreter checks.
+itself must not import sympy, which a fresh interpreter checks, as it checks
+that an analyze request loads neither sympy nor numpy where it needs neither.
 """
 
 import os
@@ -134,8 +135,18 @@ def test_poly_exact_div_matches_fraction_reference(q, den, rem):
         assert poly_exact_div(poly_mul(tuple(q), tuple(den)), den) == poly_trim(q)
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports sympquot from here."""
+    src = str(Path(sympquot.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_series_layer_imports_no_sympy():
-    code = (
+    run_fresh(
         "import sys\n"
         "from sympquot.series import cyclotomic_multiplicities, "
         "one_minus_te_product, poly_exact_div, reduced_fraction\n"
@@ -145,9 +156,22 @@ def test_series_layer_imports_no_sympy():
         "assert poly_exact_div((2, 4), (1, 2)) == (2,)\n"
         "assert 'sympy' not in sys.modules, 'the series layer imported sympy'\n"
     )
-    src = str(Path(sympquot.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+
+
+def test_analyze_imports_neither_sympy_nor_numpy_unless_used():
+    # importing the CLI loads neither; an SL2 request never needs numpy, and
+    # a torus request (n = 4, l = 2: Hermite, LLL and the cone route) no sympy
+    run_fresh(
+        "import sys\n"
+        "import sympquot.cli\n"
+        "assert 'sympy' not in sys.modules, 'import sympquot.cli loaded sympy'\n"
+        "assert 'numpy' not in sys.modules, 'import sympquot.cli loaded numpy'\n"
+        "from sympquot.pipeline import parse_request, run\n"
+        "sl2 = run(parse_request({'kind': 'sl2', 'irreps': [3]}))\n"
+        "assert 'series' in sl2.body['quotient']\n"
+        "assert 'numpy' not in sys.modules, 'an SL2 request loaded numpy'\n"
+        "torus = run(parse_request({'kind': 'torus', "
+        "'weights': [[1, 1, -1, -1], [1, -1, 2, -2]]}))\n"
+        "assert torus.body['quotient']['denominator_exponents'] == [4, 6, 6, 8]\n"
+        "assert 'sympy' not in sys.modules, 'a torus request loaded sympy'\n"
     )
-    assert proc.returncode == 0, proc.stderr

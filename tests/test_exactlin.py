@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sympquot.bruteforce import rank_oracle
@@ -12,9 +12,11 @@ from sympquot.exactlin import (
     elementary_divisors,
     fraction_inverse,
     fraction_rank,
+    hermite_normal_form,
     integer_adjugate,
     integer_kernel_basis,
     integer_rank,
+    lll_reduce,
     nonnegative_solution,
     nonnegative_solution_exists,
     row_reduce_unimodular,
@@ -175,6 +177,117 @@ def test_elementary_divisors_pinned():
     assert elementary_divisors([[2, 0], [0, 4]]) == [2, 4]
     assert elementary_divisors([[0, 0]]) == []
     assert elementary_divisors([]) == []
+    assert elementary_divisors([[-7]]) == [7]
+    assert elementary_divisors([[12, 6, 4], [3, 9, 6], [2, 16, 14]]) == [1, 10, 30]
+
+
+# ---------------------------------------------------------------------------
+# lattice normal forms against sympy, which stays a test reference only
+
+lattice_rows = st.integers(1, 4).flatmap(
+    lambda r: st.integers(r, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+def sympy_hermite_rows(rows):
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    return tuple(
+        tuple(int(x) for x in row) for row in sympy_hnf(Matrix(rows).T).T.tolist()
+    )
+
+
+def sympy_lll_rows(rows):
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    shape = (len(rows), len(rows[0]))
+    dm = DomainMatrix([[ZZ(x) for x in row] for row in rows], shape, ZZ)
+    return tuple(tuple(int(x) for x in row) for row in dm.lll().to_list())
+
+
+@given(lattice_rows)
+@settings(max_examples=150, deadline=None)
+def test_hermite_normal_form_matches_sympy(rows):
+    hnf = hermite_normal_form(rows)
+    assert hnf == sympy_hermite_rows(rows)
+    assert len(hnf) == rank_oracle(rows)
+
+
+def test_hermite_normal_form_pinned():
+    assert hermite_normal_form([[2, 4], [0, 6]]) == ((6, 0), (4, 2))
+    assert hermite_normal_form([[1, 1, 2], [2, 2, 4]]) == ((1, 1, 2),)
+    assert hermite_normal_form([[0, 0, 0]]) == ()
+    assert hermite_normal_form([]) == ()
+
+
+@given(lattice_rows)
+@settings(max_examples=150, deadline=None)
+def test_lll_reduce_matches_sympy(rows):
+    assume(integer_rank(rows) == len(rows))
+    assert lll_reduce(rows) == sympy_lll_rows(rows)
+    hnf = hermite_normal_form(rows)
+    assert lll_reduce(hnf) == sympy_lll_rows(hnf)
+
+
+def test_lll_reduce_pinned():
+    assert lll_reduce([[1, 0, 0, 0, -20160], [0, 1, 0, 0, 33768]]) == (
+        (67, 40, 0, 0, 0),
+        (-5, -3, 0, 0, -504),
+    )
+    assert lll_reduce([[3, 4]]) == ((3, 4),)
+    assert lll_reduce([]) == ()
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        lll_reduce([[1], [2]])
+
+
+sparse_matrix = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.just(0), st.just(0), st.integers(-6, 6)),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+
+
+def sympy_elementary_divisors(rows):
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(Matrix(rows))
+    return [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i]]
+
+
+@given(sparse_matrix, st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_elementary_divisors_match_sympy(rows, zero_row, zero_col):
+    # a zero row, a zero column, or a repeated row (rank deficiency)
+    n = len(rows[0])
+    if zero_row == 1:
+        rows = rows + [[0] * n]
+    elif zero_row == 2:
+        rows = rows + [[2 * v for v in rows[0]]]
+    if zero_col:
+        rows = [r[:zero_col] + [0] + r[zero_col:] for r in rows]
+    divisors = elementary_divisors(rows)
+    assert divisors == sympy_elementary_divisors(rows)
+    assert len(divisors) == rank_oracle(rows)
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
 
 
 def test_nonnegative_solution_pinned():

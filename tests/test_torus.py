@@ -14,7 +14,11 @@ from sympquot.bruteforce import (
     minimal_generator_monomials_brute,
 )
 from sympquot.errors import CapacityError, ReconstructionError
-from sympquot.exactlin import elementary_divisors, integer_rank
+from sympquot.exactlin import (
+    elementary_divisors,
+    integer_rank,
+    nonnegative_solution_exists,
+)
 from sympquot.quadforms import MomentForm
 from sympquot.series import HilbertSeries
 from sympquot.torus import (
@@ -81,6 +85,34 @@ def test_is_stable_pinned():
 def test_lineality_columns_match_caratheodory_bruteforce(rows):
     A = WeightMatrix(tuple(rows))
     assert _lineality_columns(A) == lineal_columns_brute(A)
+
+
+def lineality_columns_one_lp_each(A: WeightMatrix):
+    """Reference: one exact LP per column, as before solutions' supports
+    were used to skip columns."""
+    ell, n = A.torus_rank, A.module_dim
+    out = []
+    for j in range(n):
+        rows = [list(r) for r in A.rows] + [[int(i == j) for i in range(n)]]
+        if nonnegative_solution_exists(rows, [0] * ell + [1]):
+            out.append(j)
+    return tuple(out)
+
+
+wide_weight_rows = st.integers(1, 9).flatmap(
+    lambda n: st.lists(
+        st.tuples(*([st.sampled_from((0, 0, -3, -2, -1, 1, 2, 3))] * n)),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@given(wide_weight_rows)
+@settings(max_examples=150, deadline=None)
+def test_lineality_columns_match_one_lp_per_column(rows):
+    A = WeightMatrix(tuple(rows))
+    assert _lineality_columns(A) == lineality_columns_one_lp_each(A)
 
 
 def test_stable_reduction_trace_fields():
