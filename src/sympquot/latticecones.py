@@ -27,7 +27,21 @@ piece whose cone is lower-dimensional is empty outright (positivity forces
 one of its strict constraints to vanish identically).  Each half-open
 simplicial cone then contributes its fundamental-parallelepiped points
 over prod_i (1 - t^lam(v_i)) in the usual Stanley fashion, where lam is
-the 1-norm of the image in Z^n.
+the 1-norm of the image in Z^n.  The 1-norm is linear on a cell, so a
+parallelepiped point sum_i c_i v_i has norm sum_i c_i lam(v_i), read off
+its coordinates with no image vector formed.
+
+Mirrored pairs.  L = -L, so the closed cone of the piece 1 - eps is the
+negative of that of eps, and the negated triangulation serves for it.
+Seen from y, a cell -V has the flags that V has seen from -y (the
+lexicographic perturbation negated along with y): the complement, not f,
+of V's own flags f.  The norm is even, and p -> sum_i v_i - p
+(c_i -> 1 - c_i) maps the parallelepiped of V with flags f onto the one
+with flags not f, taking the norm d to sum_i lam(v_i) - d.  That is the
+simplicial case of Stanley's reciprocity for half-open cones (Stanley
+1974; Koeppe-Verdoolaege 2008).  So only the pieces with eps_0 = 1 are
+triangulated and walked, and each cell's numerator is added together
+with its own coefficient reversal.
 
 Exact integers throughout.  The extreme rays of each piece cone and the
 facets of each cone being triangulated (the extreme rays of its dual) come
@@ -283,8 +297,15 @@ def _half_open_flags(adj, y):
 
 def _cell_series(V, flags, bcols, n, adjugate=None):
     """(denominator key, numerator coefficients) for one half-open
-    simplicial cone spanned by the rows of V; ``adjugate`` is
-    ``_cell_adjugate(V)`` when the caller already has it."""
+    simplicial cone spanned by the rows of V, the 1-norm taken over the
+    columns ``bcols`` (``n`` of them); ``adjugate`` is
+    ``_cell_adjugate(V)`` when the caller already has it.
+
+    The parallelepiped point of box vector x0 is sum_j (r_j / det) V_j
+    with r_j = (x0 . adj column j) mod det, or det where facet j is open
+    and that residue is 0; the 1-norm is linear on the cell, so the
+    point's norm is sum_j r_j lam_j / det, lam_j the norm of ray j.
+    """
     k = len(V)
     lam_rays = [sum(abs(_dot(v, c)) for c in bcols) for v in V]
     den_key = tuple(sorted(lam_rays))
@@ -298,23 +319,19 @@ def _cell_series(V, flags, bcols, n, adjugate=None):
             f"fundamental domain has {npoints} points, not |det| = {det}; "
             "please report this input"
         )
-    bound = sum(lam_rays) + 1
-    coeffs = [0] * bound
+    total = sum(lam_rays)
+    coeffs = [0] * (total + 1)
 
     max_adj = max(abs(e) for row in adj for e in row)
-    max_v = max(abs(v) for row in V for v in row)
-    max_b = max((abs(c) for col in bcols for c in col), default=0)
     bound_num = sum((diag[i] - 1) * max_adj for i in range(k)) + 1
-    bound_f = bound_num // det + 2
-    bound_p = max(diag) + k * bound_f * max_v + 1
-    safe = max(bound_num, k * bound_f * max_v, n * bound_p * max_b) < _INT64_SAFE
+    safe = max(bound_num, det * total) < _INT64_SAFE
+    open_facets = [j for j in range(k) if flags[j]]
 
     if safe and npoints > 64:
         import numpy as np
 
-        vmat = np.array(V, dtype=np.int64)
         amat = np.array(adj, dtype=np.int64)
-        bmat = np.array([list(c) for c in bcols], dtype=np.int64).T  # k x n
+        lam = np.array(lam_rays, dtype=np.int64)
         chunk = 1 << 18
         for start in range(0, npoints, chunk):
             idxs = np.arange(start, min(start + chunk, npoints), dtype=np.int64)
@@ -323,33 +340,33 @@ def _cell_series(V, flags, bcols, n, adjugate=None):
             for i in range(k - 1, -1, -1):
                 x0[:, i] = rem % diag[i]
                 rem = rem // diag[i]
-            num = x0 @ amat
-            f = num // det
-            p = x0 - f @ vmat
-            zero = num % det == 0
-            for i in range(k):
-                if flags[i]:
-                    p[zero[:, i]] += vmat[i]
-            lam = np.abs(p @ bmat).sum(axis=1)
-            hist = np.bincount(lam, minlength=bound)
+            r = (x0 @ amat) % det
+            for j in open_facets:
+                r[r[:, j] == 0, j] = det
+            norm, off = np.divmod(r @ lam, det)
+            if off.any():
+                raise RuntimeError(
+                    "a parallelepiped point has a non-integral 1-norm; "
+                    "please report this input"
+                )
+            hist = np.bincount(norm, minlength=total + 1)
             for e, c in enumerate(hist):
                 if c:
                     coeffs[e] += int(c)
     else:
         adj_cols = list(zip(*adj))
         for x0 in product(*(range(d) for d in diag)):
-            alpha_num = [_dot(x0, col) for col in adj_cols]
-            p = list(x0)
-            for j in range(k):
-                fj = alpha_num[j] // det
-                if fj:
-                    for c in range(k):
-                        p[c] -= fj * V[j][c]
-                if flags[j] and alpha_num[j] % det == 0:
-                    for c in range(k):
-                        p[c] += V[j][c]
-            lam = sum(abs(_dot(p, col)) for col in bcols)
-            coeffs[lam] += 1
+            r = [_dot(x0, col) % det for col in adj_cols]
+            for j in open_facets:
+                if not r[j]:
+                    r[j] = det
+            norm, off = divmod(_dot(r, lam_rays), det)
+            if off:
+                raise RuntimeError(
+                    "a parallelepiped point has a non-integral 1-norm; "
+                    "please report this input"
+                )
+            coeffs[norm] += 1
     return den_key, coeffs
 
 
@@ -390,8 +407,10 @@ def norm_generating_function(basis, *, point_limit=PARALLELEPIPED_LIMIT):
     The row span must contain a strictly positive vector (ValueError
     otherwise); that is what makes every orthant piece of the lattice a
     genuinely half-open pointed cone with no boundary corrections.
-    Raises CapacityError, before enumerating any point, when the total
-    number of fundamental-domain points exceeds ``point_limit``.
+    Raises CapacityError, before enumerating any point, when the number
+    of fundamental-domain points walked exceeds ``point_limit``; those are
+    the points of the pieces with eps_0 = 1, whose mirrors are never
+    walked.
     """
     basis = [tuple(int(v) for v in row) for row in basis]
     if not basis:
@@ -411,26 +430,32 @@ def norm_generating_function(basis, *, point_limit=PARALLELEPIPED_LIMIT):
         raise RuntimeError(
             "the lattice basis has a zero column; please report this input"
         )
-    # triangulate every piece first: |det V| is a cell's point count, so
-    # the cap is checked before any point is enumerated
+    # L = -L, so the piece 1 - eps is the negation of the piece eps with
+    # the complementary half-open pattern: only the pieces with eps_0 = 1
+    # are triangulated and walked.  Every piece is triangulated first:
+    # |det V| is a cell's point count, so the cap on the points walked is
+    # checked before any point is enumerated
     cells = []
     spent = 0
-    for eps in product((0, 1), repeat=n):
+    for tail in product((0, 1), repeat=n - 1):
+        eps = (1,) + tail
         normals = [
             col if e else tuple(-v for v in col) for col, e in zip(cols, eps)
         ]
         rays = _extreme_rays(normals, k)
         if not rays or integer_rank(rays) < k:
             # positivity forces some strict constraint of a degenerate
-            # piece to vanish identically, so the piece has no points
-            if not any(
-                e and all(_dot(col, r) == 0 for r in rays)
-                for col, e in zip(cols, eps)
-            ):
-                raise RuntimeError(
-                    "degenerate orthant piece with no implicit strict "
-                    "constraint; the basis does not span a stable lattice"
-                )
+            # piece to vanish identically, so the piece has no points; the
+            # strict constraints of the mirror piece are those with eps_j = 0
+            for strict in (1, 0):
+                if not any(
+                    e == strict and all(_dot(col, r) == 0 for r in rays)
+                    for col, e in zip(cols, eps)
+                ):
+                    raise RuntimeError(
+                        "degenerate orthant piece with no implicit strict "
+                        "constraint; the basis does not span a stable lattice"
+                    )
             continue
         for cell in _tri(list(range(len(rays))), rays, k):
             V = [rays[i] for i in cell]
@@ -446,8 +471,8 @@ def norm_generating_function(basis, *, point_limit=PARALLELEPIPED_LIMIT):
     for V, adj, det in cells:
         flags = _half_open_flags(adj, y)
         den_key, coeffs = _cell_series(V, flags, cols, n, (adj, det))
-        if den_key in groups:
-            groups[den_key] = poly_add(groups[den_key], coeffs)
-        else:
-            groups[den_key] = tuple(coeffs)
+        # the mirror cell -V, whose flags are the complement: p -> sum V_i - p
+        # maps its parallelepiped onto this one, and the norm to sum lam - |p|
+        coeffs = poly_add(coeffs, coeffs[::-1])
+        groups[den_key] = poly_add(groups.get(den_key, ()), coeffs)
     return _combine(groups)

@@ -412,61 +412,57 @@ def poly_exact_div(num, den):
     return _exact_quotient(num, den)
 
 
-def _pair_primitive(r, v):
-    """Scale the pair (r, v) to primitive integer lists (same scalar)."""
-    den = 1
-    for c in r + v:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in r] + [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    g = g or 1
-    return (
-        [Fraction(int(c * den) // g) for c in r],
-        [Fraction(int(c * den) // g) for c in v],
-    )
-
-
 def minimal_rational_form(coeffs, *, stability=8):
     """Smallest rational function num/den matching a truncated expansion.
 
-    Runs the extended Euclidean algorithm on (t^(D+1), sum coeffs[k] t^k)
-    over exact rationals; every convergent matches all D+1 coefficients,
-    and the one of smallest total degree is the minimal linear recurrence
-    the data supports.  It is only returned when the data exceed its
-    degrees by at least ``stability`` coefficients (so the recurrence is
-    overdetermined, not an artifact of short data), den(0) == 1 and both
-    polynomials are integral; otherwise None, meaning: extend the series.
+    Runs the extended Euclidean algorithm on (t^(D+1), sum coeffs[k] t^k);
+    every convergent matches all D+1 coefficients, and the one of smallest
+    total degree is the minimal linear recurrence the data supports.  It is
+    only returned when the data exceed its degrees by at least
+    ``stability`` coefficients (so the recurrence is overdetermined, not an
+    artifact of short data), den(0) == 1 and both polynomials are integral;
+    otherwise None, meaning: extend the series.
+
+    Fraction-free: each step pseudo-divides, multiplying the dividend by
+    lead^(delta+1) (lead the divisor's leading coefficient, delta the
+    degree gap) so the quotient is integral, and then divides the new pair
+    (remainder, cofactor) by the gcd of all its coefficients.  Every pair
+    is a nonzero multiple of the convergent over the rationals, which
+    leaves the degrees, the test v(0) != 0 and the quotient by v(0)
+    unchanged.
     """
     bound = len(coeffs) - 1
-    b = [Fraction(c) for c in coeffs]
+    b = [int(c) for c in coeffs]
     while b and not b[-1]:
         b.pop()
     if not b:
         return (), (1,)
-    r_prev = [Fraction(0)] * (bound + 1) + [Fraction(1)]
-    v_prev = [Fraction(0)]
-    r_cur, v_cur = b, [Fraction(1)]
+    r_prev, v_prev = [0] * (bound + 1) + [1], [0]
+    r_cur, v_cur = b, [1]
     best = None
     while r_cur:
         total = (len(r_cur) - 1) + (len(v_cur) - 1)
         if v_cur[0] and total + stability <= bound:
             if best is None or total < best[0]:
-                best = (total, list(r_cur), list(v_cur))
-        # one Euclidean division step: r_prev = q * r_cur + r_next
-        q = [Fraction(0)] * (len(r_prev) - len(r_cur) + 1)
-        rem = list(r_prev)
+                best = (total, r_cur, v_cur)
+        # one pseudo-division step: lead^(delta+1) r_prev = q r_cur + rem
         lead = r_cur[-1]
+        deg = len(r_cur) - 1
+        lower = [(j, d) for j, d in enumerate(r_cur[:deg]) if d]
+        q = [0] * (len(r_prev) - deg)
+        rem = list(r_prev)
         for k in range(len(q) - 1, -1, -1):
-            c = rem[k + len(r_cur) - 1] / lead
-            q[k] = c
+            c = rem[k + deg]
+            rem = [lead * a for a in rem[: k + deg]]
+            q = [lead * a for a in q]
             if c:
-                for j, d in enumerate(r_cur):
+                q[k] = c
+                for j, d in lower:
                     rem[k + j] -= c * d
         while rem and not rem[-1]:
             rem.pop()
-        v_next = list(v_prev) + [Fraction(0)] * max(
+        scale = lead ** len(q)
+        v_next = [scale * a for a in v_prev] + [0] * max(
             0, len(q) + len(v_cur) - 1 - len(v_prev)
         )
         for i, qc in enumerate(q):
@@ -475,20 +471,20 @@ def minimal_rational_form(coeffs, *, stability=8):
                     v_next[i + j] -= qc * vc
         while len(v_next) > 1 and not v_next[-1]:
             v_next.pop()
-        r_prev, v_prev = r_cur, v_cur
         if rem:
-            rem, v_next = _pair_primitive(rem, v_next)
+            g = math.gcd(*rem, *v_next)
+            rem = [a // g for a in rem]
+            v_next = [a // g for a in v_next]
+        r_prev, v_prev = r_cur, v_cur
         r_cur, v_cur = rem, v_next
     if best is None:
         return None
     _, num, den = best
     scale = den[0]
-    num = [c / scale for c in num]
-    den = [c / scale for c in den]
-    if any(c.denominator != 1 for c in num + den):
+    if any(c % scale for c in num + den):
         return None
-    num = tuple(int(c) for c in num)
-    den = tuple(int(c) for c in den)
+    num = tuple(c // scale for c in num)
+    den = tuple(c // scale for c in den)
     # replay the recurrence as a final integrity check
     check = []
     for k in range(bound + 1):
@@ -546,13 +542,22 @@ def reduced_fraction(num, exponents):
     -1, so when an odd number of Phi_1 are left over, the leftover product
     and the numerator are both negated.
     """
+    num, den, _ = _cyclotomic_reduction(num, exponents)
+    return num, den
+
+
+def _cyclotomic_reduction(num, exponents):
+    """reduced_fraction(num, exponents) together with the leftover
+    multiplicities {m: times Phi_m divides the reduced denominator}, in
+    increasing m: what cyclotomic_multiplicities would find in it."""
     num = poly_trim(num)
     if not num:
-        return (), (1,)
+        return (), (1,), {}
     exponents = [int(e) for e in exponents]
     order = Counter(m for e in exponents for m in range(1, e + 1) if e % m == 0)
     sign = -1 if len(exponents) % 2 else 1
     den = (1,)
+    mult = {}
     for m in sorted(order):
         phi = _cyclotomic(m)
         left = order[m]
@@ -561,12 +566,14 @@ def reduced_fraction(num, exponents):
             if q is None:
                 break
             num, left = q, left - 1
+        if left:
+            mult[m] = left
         for _ in range(left):
             den = poly_mul(den, phi)
     if den[0] < 0:
         sign = -sign
         den = tuple(-c for c in den)
-    return tuple(sign * c for c in num), den
+    return tuple(sign * c for c in num), den, mult
 
 
 def cyclotomic_multiplicities(delta, index_cap=512):

@@ -31,6 +31,7 @@ from .quadforms import MomentForm
 from .series import (
     HilbertSeries,
     TruncatedSeries,
+    _cyclotomic_reduction,
     binomial_poly_one_minus_t2,
     cyclotomic_multiplicities,
     expand,
@@ -39,7 +40,6 @@ from .series import (
     poly_exact_div,
     poly_mul,
     reconstruct_search,
-    reduced_fraction,
     staircase_exponents,
 )
 
@@ -793,19 +793,21 @@ def quotient_series(
     affordable re-expressed over 2(n'-ell') factors (1-t^e) with exponents
     preferring minimal-generator degrees.  The reduction is integer-only:
     the closed form is gnum / prod (1 - t^e), whose denominator has only the
-    factors Phi_m with m | e, so reduced_fraction divides gnum by those
-    (each at most as often as it occurs in the denominator), and the
-    leftover denominator is factored by trial division by the Phi_m with
-    m <= max(e).  The result is cross-checked
-    against the degree-D truncation of the invariant-series DP before it
-    is returned, and certified via stanley_check.  The reduced module is
-    stable and faithful, hence 1-large, so the quotient is a
-    Cohen-Macaulay domain and the check is caveat-free.
+    factors Phi_m with m | e, so gnum is divided by those (each at most as
+    often as it occurs in the denominator, as in reduced_fraction), and the
+    multiplicities of the Phi_m left over are read off the same pass.  The
+    result is cross-checked against the degree-D truncation of the
+    invariant-series DP before it is returned, and certified via
+    stanley_check.  The reduced module is stable and faithful, hence
+    1-large, so the quotient is a Cohen-Macaulay domain and the check is
+    caveat-free.
 
-    When the decomposition would exceed ``point_limit`` fundamental-domain
-    points, the fallback reconstructs the minimal linear recurrence the
-    truncation supports (with at least max(guard, 8) spare coefficients),
-    escalating D up to ``max_degree`` (default max(5*D, 120)).
+    When the decomposition would walk more than ``point_limit``
+    fundamental-domain points (counted as in norm_generating_function,
+    which never walks the mirrored half of its cells), the fallback
+    reconstructs the minimal linear recurrence the truncation supports
+    (with at least max(guard, 8) spare coefficients), escalating D up to
+    ``max_degree`` (default max(5*D, 120)).
 
     Trailing 1/(1-t)^(2m) factors are restored for the m removed trivial
     summands.  Supplying ``denominators`` skips everything else: the
@@ -873,9 +875,8 @@ def quotient_series(
 
     if gnum is not None:
         qden = tuple(sorted(gden)) + (2,) * (n_r - ell_r)
-        num, delta = reduced_fraction(gnum, qden)
-        mult = cyclotomic_multiplicities(delta, index_cap=max(qden))
-        if mult is None or mult.get(1, 0) != den_count:
+        num, delta, mult = _cyclotomic_reduction(gnum, qden)
+        if mult.get(1, 0) != den_count:
             raise RuntimeError(
                 "cone decomposition gave a quotient series whose pole "
                 f"order at t=1 is not {den_count}; please report this input"

@@ -20,6 +20,7 @@ from sympy import Poly, Symbol, ZZ, cyclotomic_poly
 import sympquot
 from sympquot.series import (
     _cyclotomic,
+    _cyclotomic_reduction,
     cyclotomic_multiplicities,
     one_minus_te_product,
     poly_exact_div,
@@ -95,6 +96,21 @@ def test_reduced_fraction_matches_sympy_gcd(base, indices, exponents):
     got = reduced_fraction(num, exponents)
     assert got == sympy_reduced_fraction(num, exponents)
     assert got[1][0] == 1
+
+
+@given(small_poly, cyclotomic_indices, exponent_multisets)
+@settings(max_examples=150, deadline=None)
+@example([1], [1, 1], [1, 1])  # every factor cancels: no multiplicities
+def test_reduction_hands_on_the_factoring_of_its_denominator(base, indices, exponents):
+    # the multiplicities found while cancelling are those of factoring the
+    # reduced denominator again, in the same order
+    num = tuple(base)
+    for m in indices:
+        num = poly_mul(num, _cyclotomic(m))
+    rnum, delta, mult = _cyclotomic_reduction(num, exponents)
+    assert (rnum, delta) == reduced_fraction(num, exponents)
+    again = cyclotomic_multiplicities(delta, index_cap=max(exponents, default=1))
+    assert list(mult.items()) == list(again.items())
 
 
 @given(exponent_multisets.filter(len), cyclotomic_indices)

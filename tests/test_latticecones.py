@@ -7,12 +7,14 @@ strictly positive vector.  The cross-check below uses the identity
 
 which pairs the decomposition engine with the independent truncated DP.
 The double-description ray finder is checked against the subset scan it
-replaced, kept here as a reference.
+replaced, kept here as a reference, and the mirrored half-open
+decomposition against the walk over all 2^n orthant pieces with per-point
+image vectors that it replaced.
 """
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,14 +24,19 @@ import sympquot.latticecones as latticecones
 from sympquot.errors import CapacityError
 from sympquot.exactlin import integer_kernel_basis, integer_rank
 from sympquot.latticecones import (
+    _box_diagonal,
+    _cell_adjugate,
     _cell_series,
+    _combine,
     _extreme_rays,
     _facet_subsets,
+    _half_open_flags,
     _primitive,
+    _tri,
     negative_image_point,
     norm_generating_function,
 )
-from sympquot.series import HilbertSeries, binomial_poly_one_minus_t2
+from sympquot.series import HilbertSeries, binomial_poly_one_minus_t2, poly_add
 from sympquot.torus import (
     WeightMatrix,
     _reduced_kernel_basis,
@@ -273,3 +280,135 @@ def test_n8_module_takes_the_cone_route(monkeypatch):
     assert result.series.expand(12).coeffs == dp.coeffs
     assert result.verdict.graded_gorenstein
     assert result.verdict.dimension == 12
+
+
+# ---------------------------------------------------------------------------
+# the mirrored decomposition against the full walk it replaced
+
+
+def cell_series_by_images(V, flags, bcols):
+    """Reference: every parallelepiped point p formed in Z^k, and its
+    1-norm taken from its image p.B in Z^n."""
+    k = len(V)
+    lam_rays = [sum(abs(_dot(v, c)) for c in bcols) for v in V]
+    adj, det = _cell_adjugate(V)
+    diag = _box_diagonal(V)
+    coeffs = [0] * (sum(lam_rays) + 1)
+    adj_cols = list(zip(*adj))
+    for x0 in product(*(range(d) for d in diag)):
+        alpha_num = [_dot(x0, col) for col in adj_cols]
+        p = list(x0)
+        for j in range(k):
+            fj = alpha_num[j] // det
+            if fj:
+                for c in range(k):
+                    p[c] -= fj * V[j][c]
+            if flags[j] and alpha_num[j] % det == 0:
+                for c in range(k):
+                    p[c] += V[j][c]
+        coeffs[sum(abs(_dot(p, col)) for col in bcols)] += 1
+    return tuple(sorted(lam_rays)), coeffs
+
+
+def norm_generating_function_by_all_pieces(basis):
+    """Reference: every one of the 2^n orthant pieces triangulated and
+    walked on its own."""
+    k, n = len(basis), len(basis[0])
+    y = negative_image_point(basis)
+    scale = math.lcm(*(v.denominator for v in y))
+    y = tuple(int(v * scale) for v in y)
+    cols = [tuple(basis[i][j] for i in range(k)) for j in range(n)]
+    groups = {}
+    for eps in product((0, 1), repeat=n):
+        normals = [col if e else tuple(-v for v in col) for col, e in zip(cols, eps)]
+        rays = _extreme_rays(normals, k)
+        if not rays or integer_rank(rays) < k:
+            assert any(
+                e and all(_dot(col, r) == 0 for r in rays) for col, e in zip(cols, eps)
+            )
+            continue
+        for cell in _tri(list(range(len(rays))), rays, k):
+            V = [rays[i] for i in cell]
+            flags = _half_open_flags(_cell_adjugate(V)[0], y)
+            den_key, coeffs = cell_series_by_images(V, flags, cols)
+            groups[den_key] = poly_add(groups.get(den_key, ()), coeffs)
+    return _combine(groups)
+
+
+@st.composite
+def norm_linear_cells(draw):
+    """(V, flags, bcols): a nonsingular cell with k = 1..4 rays and columns
+    on which every ray has an image of one sign, so that the 1-norm is
+    linear on the cell.  A column is sign * adj(V) w with w >= 0: since
+    V adj(V) = |det V| I, ray i has the image sign * |det V| * w_i there.
+    Half the time the first ray is stretched 65-fold, so the cell has more
+    than 64 points and takes the vectorised branch."""
+    k = draw(st.integers(1, 4))
+    V = [list(draw(st.tuples(*[st.integers(-3, 3)] * k))) for _ in range(k)]
+    assume(integer_rank(V) == k)
+    if draw(st.booleans()):
+        V[0] = [65 * v for v in V[0]]
+    adj, det = _cell_adjugate(V)
+    n = draw(st.integers(1, 4))
+    bcols = []
+    for _ in range(n):
+        w = draw(st.tuples(*[st.integers(0, 2)] * k).filter(any))
+        sign = draw(st.sampled_from([1, -1]))
+        bcols.append(tuple(sign * sum(adj[r][i] * w[i] for i in range(k)) for r in range(k)))
+    flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return [tuple(r) for r in V], flags, bcols
+
+
+@settings(max_examples=120, deadline=None)
+@given(norm_linear_cells())
+def test_complemented_flags_reverse_the_cell_numerator(cell):
+    V, flags, bcols = cell
+    key, coeffs = _cell_series(V, flags, bcols, len(bcols))
+    mirror_key, mirror = _cell_series(V, [not f for f in flags], bcols, len(bcols))
+    assert mirror_key == key
+    assert mirror == coeffs[::-1]
+    assert (key, coeffs) == cell_series_by_images(V, flags, bcols)
+
+
+def test_mirror_lemma_reaches_both_branches():
+    # 4 points walk the loop, 130 the vectorised branch; the columns are
+    # left and right multiples of adj so every ray image has one sign
+    for V in (((2, 0), (1, 2)), ((2, 0), (65, 65))):
+        adj, det = _cell_adjugate(V)
+        bcols = [tuple(adj[r][0] for r in range(2)), tuple(-adj[r][1] for r in range(2))]
+        for flags in ([False, False], [True, False], [True, True]):
+            key, coeffs = _cell_series(V, flags, bcols, 2)
+            assert sum(coeffs) == det
+            assert _cell_series(V, [not f for f in flags], bcols, 2) == (key, coeffs[::-1])
+            assert (key, coeffs) == cell_series_by_images(V, flags, bcols)
+
+
+@st.composite
+def stable_bases(draw):
+    """A basis of k <= 4 rows and n <= 6 columns with no zero column whose
+    row span meets the open positive orthant; a column may be repeated or
+    doubled, which makes the pieces that split the two columns'
+    signs lower-dimensional.  The mirrored decomposition walks at most 2000
+    points, so that the reference's walk of twice as many stays quick."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 6))
+    cols = [draw(st.tuples(*[st.integers(-3, 3)] * k).filter(any)) for _ in range(n)]
+    if n < 6 and draw(st.booleans()):
+        c = draw(st.sampled_from(cols))
+        cols.append(tuple(draw(st.sampled_from([1, 2])) * v for v in c))
+    basis = [tuple(c[i] for c in cols) for i in range(k)]
+    assume(integer_rank(basis) == k)
+    assume(negative_image_point(basis) is not None)
+    try:
+        norm_generating_function(basis, point_limit=2000)
+    except CapacityError:
+        assume(False)
+    return basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(stable_bases())
+def test_mirrored_decomposition_matches_the_full_walk(basis):
+    got = HilbertSeries(*norm_generating_function(basis))
+    expected = HilbertSeries(*norm_generating_function_by_all_pieces(basis))
+    assert got.equals(expected), basis

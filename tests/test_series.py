@@ -4,6 +4,9 @@ The round-trip properties (expand a known rational function, then recover
 it) are the backbone here, since everything downstream trusts them.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +268,128 @@ def test_minimal_rational_form_needs_stability_margin():
     coeffs = HilbertSeries((1,), (2, 2)).expand(6).coeffs
     assert minimal_rational_form(coeffs, stability=8) is None
     assert minimal_rational_form((0, 0, 0)) == ((), (1,))
+
+
+def _pair_primitive(r, v):
+    """Scale the pair (r, v) to primitive integer lists (same scalar)."""
+    den = 1
+    for c in r + v:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in r] + [int(c * den) for c in v]
+    g = 0
+    for c in ints:
+        g = math.gcd(g, c)
+    g = g or 1
+    return (
+        [Fraction(int(c * den) // g) for c in r],
+        [Fraction(int(c * den) // g) for c in v],
+    )
+
+
+def minimal_rational_form_over_fractions(coeffs, *, stability=8):
+    """Reference: the extended Euclidean algorithm over exact rationals,
+    each remainder and cofactor scaled to a primitive integer pair."""
+    bound = len(coeffs) - 1
+    b = [Fraction(c) for c in coeffs]
+    while b and not b[-1]:
+        b.pop()
+    if not b:
+        return (), (1,)
+    r_prev = [Fraction(0)] * (bound + 1) + [Fraction(1)]
+    v_prev = [Fraction(0)]
+    r_cur, v_cur = b, [Fraction(1)]
+    best = None
+    while r_cur:
+        total = (len(r_cur) - 1) + (len(v_cur) - 1)
+        if v_cur[0] and total + stability <= bound:
+            if best is None or total < best[0]:
+                best = (total, list(r_cur), list(v_cur))
+        q = [Fraction(0)] * (len(r_prev) - len(r_cur) + 1)
+        rem = list(r_prev)
+        lead = r_cur[-1]
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[k + len(r_cur) - 1] / lead
+            q[k] = c
+            if c:
+                for j, d in enumerate(r_cur):
+                    rem[k + j] -= c * d
+        while rem and not rem[-1]:
+            rem.pop()
+        v_next = list(v_prev) + [Fraction(0)] * max(
+            0, len(q) + len(v_cur) - 1 - len(v_prev)
+        )
+        for i, qc in enumerate(q):
+            if qc:
+                for j, vc in enumerate(v_cur):
+                    v_next[i + j] -= qc * vc
+        while len(v_next) > 1 and not v_next[-1]:
+            v_next.pop()
+        r_prev, v_prev = r_cur, v_cur
+        if rem:
+            rem, v_next = _pair_primitive(rem, v_next)
+        r_cur, v_cur = rem, v_next
+    if best is None:
+        return None
+    _, num, den = best
+    scale = den[0]
+    num = [c / scale for c in num]
+    den = [c / scale for c in den]
+    if any(c.denominator != 1 for c in num + den):
+        return None
+    num = tuple(int(c) for c in num)
+    den = tuple(int(c) for c in den)
+    check = []
+    for k in range(bound + 1):
+        acc = num[k] if k < len(num) else 0
+        acc -= sum(den[j] * check[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        check.append(acc)
+    if check != [int(c) for c in coeffs]:
+        return None
+    return num, den
+
+
+@st.composite
+def recurrence_inputs(draw):
+    """(coefficients, stability): the truncation of a random rational
+    function num/den with den(0) = 1 (den not built from (1 - t^e)
+    factors, so its leading coefficients are not +-1), random integers,
+    or all zeros."""
+    stability = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["rational", "rational", "random", "zero"]))
+    if kind == "zero":
+        return [0] * draw(st.integers(1, 12)), stability
+    if kind == "random":
+        return draw(st.lists(st.integers(-6, 6), min_size=1, max_size=30)), stability
+    num = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    den = [1] + draw(st.lists(st.integers(-3, 3), min_size=0, max_size=5))
+    bound = draw(st.integers(0, 40))
+    coeffs = []
+    for k in range(bound + 1):
+        acc = num[k] if k < len(num) else 0
+        acc -= sum(den[j] * coeffs[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        coeffs.append(acc)
+    return coeffs, stability
+
+
+@given(recurrence_inputs())
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_minimal_rational_form_matches_the_fraction_one(case):
+    coeffs, stability = case
+    assert minimal_rational_form(
+        coeffs, stability=stability
+    ) == minimal_rational_form_over_fractions(coeffs, stability=stability)
+
+
+def test_fraction_free_minimal_rational_form_pinned_cases():
+    for coeffs in ([0], [0, 0, 0, 0], [5], [1, 2, 3, 4, 5] * 6, [2, 0, 0, 0] * 8):
+        for stability in (0, 4, 8):
+            assert minimal_rational_form(
+                coeffs, stability=stability
+            ) == minimal_rational_form_over_fractions(coeffs, stability=stability)
+    # a leading coefficient 2 throughout: 1 / (1 - 2t) has only integral
+    # convergents after pseudo-division
+    coeffs = [2**k for k in range(20)]
+    assert minimal_rational_form(coeffs) == ((1,), (1, -2))
 
 
 def test_reduced_fraction():
