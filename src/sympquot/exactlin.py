@@ -51,9 +51,16 @@ def integer_rank(rows, limit=None):
 
 
 def fraction_rank(rows):
-    """Rank of a matrix with Fraction/int entries (clears denominators)."""
+    """Rank of a matrix with Fraction/int entries.
+
+    A row of ints goes to ``integer_rank`` as it is; a row with a Fraction
+    is scaled by the lcm of its denominators first.
+    """
     cleared = []
     for r in rows:
+        if all(isinstance(x, int) for x in r):
+            cleared.append(r)
+            continue
         fr = [Fraction(x) for x in r]
         scale = 1
         for x in fr:

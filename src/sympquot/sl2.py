@@ -2,9 +2,13 @@
 
 An SL2 module is a multiset of irreducibles R_d (binary forms of degree d,
 dimension d+1).  Hilbert-series work happens on the weight characters of
-the diagonal torus, kept as dense integer tables over the weights -dW..dW
-of each Sym^d(V + V*); moment components and Jacobian probes use the
-explicit integer matrices of the (e, f, h) action on each R_d.
+the diagonal torus.  The table of each Sym^d(V + V*) over the weights
+-dW..dW is one Python int, packed by Kronecker substitution in limbs of
+B = bit_length(C(D + 2n - 1, 2n - 1)) + 1 bits: that binomial is
+dim Sym^D(C^2n), which bounds every entry of every row, so no limb
+carries and each limb's top bit stays clear.  Moment components and
+Jacobian probes use the explicit integer matrices of the (e, f, h) action
+on each R_d.
 
 The quotient series is found from its truncation by trying candidate
 denominators, multisets of guessed generator degrees, in increasing
@@ -17,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from operator import add
 
 from .certify import GorensteinVerdict, stanley_check
 from .errors import CapacityError
@@ -95,35 +98,49 @@ def module_character(V: SL2Module) -> LaurentCharacter:
 
 
 def _sym_power_rows(V: SL2Module, D):
-    """Dense weight tables of Sym^d(V + V*) for d = 0..D.
+    """Packed weight tables of Sym^d(V + V*) for d = 0..D, and the limb width.
 
-    Row d is a list over the weights -dW..dW, W the top weight of V: entry
-    dW + m is the dimension of the weight-m space.  Sym(V + V*) has character
-    prod_w 1/(1 - t q^w)^2 over the weights w of V (every R_d is self-dual),
-    so each weight, taken twice, updates the rows in increasing d by
-    row_d += q^w row_(d-1).  Entries stay exact Python ints.
+    Returns (rows, B).  Row d is an int whose limb dW + m, B bits wide, is
+    the dimension of the weight-m space, for the weights -dW..dW, W the top
+    weight of V.  Sym(V + V*) has character prod_w 1/(1 - t q^w)^2 over the
+    weights w of V (every R_d is self-dual), so each weight, taken twice,
+    updates the rows in increasing d by row_d += q^w row_(d-1): one shift
+    by w + W limbs and one add.  B is one bit more than dim Sym^D(C^2n)
+    needs, which bounds every entry of every partial fold.
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     W = max(V.irreps, default=0)
-    rows = [[1]] + [[0] * (2 * d * W + 1) for d in range(1, D + 1)]
+    n = V.n
+    # dim Sym^D(C^0) is at most 1 (and math.comb(D - 1, -1) would raise)
+    bound = math.comb(D + 2 * n - 1, 2 * n - 1) if n else 1
+    B = bound.bit_length() + 1
+    rows = [1] + [0] * D
     for w, count in module_character(V).items():
+        shift = B * (w + W)
         for _ in range(2 * count):
-            lo = W + w
             for d in range(1, D + 1):
-                prev, cur = rows[d - 1], rows[d]
-                hi = lo + len(prev)
-                cur[lo:hi] = map(add, cur[lo:hi], prev)
-    return rows
+                rows[d] += rows[d - 1] << shift
+    return rows, B
+
+
+def _unpack(row, width, B):
+    """The first ``width`` B-bit limbs of ``row``, lowest first."""
+    bits = format(row, "b").zfill(width * B)
+    top = len(bits)
+    return [int(bits[top - (j + 1) * B : top - j * B], 2) for j in range(width)]
 
 
 def sym_power_characters(V: SL2Module, D):
-    """Characters of Sym^d(V + V*) for d = 0..D, read off the dense weight
+    """Characters of Sym^d(V + V*) for d = 0..D, unpacked from the weight
     tables of ``_sym_power_rows``."""
     W = max(V.irreps, default=0)
+    rows, B = _sym_power_rows(V, D)
     return [
-        LaurentCharacter({m - d * W: v for m, v in enumerate(row) if v})
-        for d, row in enumerate(_sym_power_rows(V, D))
+        LaurentCharacter(
+            {m - d * W: v for m, v in enumerate(_unpack(row, 2 * d * W + 1, B)) if v}
+        )
+        for d, row in enumerate(rows)
     ]
 
 
@@ -142,22 +159,66 @@ class ABSeries:
     b: TruncatedSeries
 
 
+def _tile(block, period, total):
+    """``block`` repeated every ``period`` bits, over at least ``total`` bits."""
+    while period < total:
+        block |= block << period
+        period *= 2
+    return block
+
+
+def _reversal_masks(width, B):
+    """masks[s] keeps the low 2^s limbs (B bits each) of every block of
+    2^(s+1) limbs, for the stages of ``_reverse_limbs`` up to ``width``."""
+    k = (width - 1).bit_length() if width > 1 else 0
+    return [_tile((1 << (B << s)) - 1, B << (s + 1), B << k) for s in range(k)]
+
+
+def _reverse_limbs(x, width, B, masks):
+    """x, an int of at most ``width`` B-bit limbs, with the limb order
+    reversed: the halves of every block of 2^(s+1) limbs swap places, for
+    each s below k = ceil(log2(width)), then the 2^k - width empty limbs
+    are shifted out.  ``masks`` comes from ``_reversal_masks`` for a width
+    at least this one."""
+    k = (width - 1).bit_length() if width > 1 else 0
+    for s in range(k - 1, -1, -1):
+        shift, mask = B << s, masks[s]
+        x = ((x & mask) << shift) | ((x >> shift) & mask)
+    return x >> B * ((1 << k) - width)
+
+
 def ab_series(V: SL2Module, D) -> ABSeries:
     """Multiplicities of R_0 and R_2 in Sym^d(V + V*) for d = 0..D.
 
-    With c_m the weight-m entry of row d of ``_sym_power_rows``,
-    a_d = c_0 - c_2 and b_d = c_2 - c_4; no character dicts are built.
+    With c_m the weight-m limb of row d of ``_sym_power_rows``,
+    a_d = c_0 - c_2 and b_d = c_2 - c_4, read by shift and mask.  Every row
+    is first checked in full: it has no limb past its 2dW + 1, no limb with
+    its top bit set (an entry no fold can reach, so also no negative entry
+    borrowing from the next), and the limbs below weight 0 reversed equal
+    those above it.
     """
     W = max(V.irreps, default=0)
+    rows, B = _sym_power_rows(V, D)
+    masks = _reversal_masks(D * W, B)
+    top_bits = _tile(1 << (B - 1), B, B * (2 * D * W + 1))
+    limb = (1 << B) - 1
     a, b = [], []
-    for d, row in enumerate(_sym_power_rows(V, D)):
-        if row != row[::-1]:
+    for d, row in enumerate(rows):
+        mid = d * W  # the limb of weight 0
+        if (
+            row < 0
+            or row >> B * (2 * mid + 1)
+            or row & top_bits
+            or _reverse_limbs(row >> B * (mid + 1), mid, B, masks)
+            != row & ((1 << B * mid) - 1)
+        ):
             raise RuntimeError(
-                f"weight table of Sym^{d}({V} + dual) is not symmetric; "
-                "please report this input"
+                f"weight table of Sym^{d}({V} + dual) is not a palindrome of "
+                f"{2 * mid + 1} entries in [0, 2^{B - 1}); please report this input"
             )
-        mid = d * W  # weight 0
-        c0, c2, c4 = (row[mid + m] if m <= mid else 0 for m in (0, 2, 4))
+        # limbs past the top weight dW are zero, so c_2 and c_4 need no bound
+        window = row >> B * mid
+        c0, c2, c4 = ((window >> B * m) & limb for m in (0, 2, 4))
         a.append(c0 - c2)
         b.append(c2 - c4)
     if a[0] != 1 or b[0] != 0 or min(a) < 0 or min(b) < 0:
@@ -294,7 +355,9 @@ class JacobianProbe:
     bounds on the generic ranks; shell_dim_estimate = 2n - on_shell_rank
     equals 2n - 3 exactly when full rank is attained on the shell.
     on_shell_ranks[k - 1] is the on-shell rank after the first k trials,
-    which is what a probe with the same seed and k trials reports.
+    which is what a probe with the same seed and k trials reports.  trials
+    is the number asked for, also when the probe stopped early: the trials
+    it skipped could not have changed either rank.
     """
 
     on_shell_rank: int
@@ -307,10 +370,18 @@ class JacobianProbe:
 
 
 def jacobian_rank_probe(V: SL2Module, trials=12, *, seed=0) -> JacobianProbe:
+    """Ranks of d(mu) over up to ``trials`` pseudo-random points from ``seed``.
+
+    The Jacobian has one row per moment component, so neither rank can
+    exceed len(forms) = ADJOINT_DIM.  Once both maxima reach it the probe
+    stops, and the on-shell ranks of the trials left are that rank: the
+    result equals that of drawing all ``trials`` points.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     forms = moment_components_sl2(V)
     n = V.n
+    full = len(forms)
     rng = random.Random(seed)
     on_rank = 0
     off_rank = 0
@@ -330,6 +401,9 @@ def jacobian_rank_probe(V: SL2Module, trials=12, *, seed=0) -> JacobianProbe:
         if wk is not None and on_shell(forms, z, wk):
             on_rank = max(on_rank, jacobian_rank(forms, z, wk))
         running.append(on_rank)
+        if on_rank == off_rank == full:
+            running += [full] * (trials - len(running))
+            break
     return JacobianProbe(
         on_shell_rank=on_rank,
         off_shell_rank=off_rank,
@@ -365,10 +439,10 @@ def _detect_generator_degrees(a_coeffs, limit):
     """Degrees where the invariant count exceeds what existing generators
     explain (free-monoid count); an underestimate in the presence of
     relations, so callers should augment with lcms."""
-    ways = [0] * (len(a_coeffs))
-    ways[0] = 1
+    size = min(limit + 1, len(a_coeffs))  # ways is read below ``size`` only
+    ways = [1] + [0] * (size - 1)
     degrees = []
-    for k in range(1, min(limit + 1, len(a_coeffs))):
+    for k in range(1, size):
         gap = a_coeffs[k] - ways[k]
         for _ in range(max(gap, 0)):
             degrees.append(k)

@@ -54,6 +54,30 @@ def test_fraction_rank_clears_denominators():
     assert fraction_rank([[Fraction(0), Fraction(0)]]) == 0
 
 
+@given(small_matrix, st.integers(0, 4), st.integers(2, 7))
+@settings(max_examples=100, deadline=None)
+def test_fraction_rank_passes_integer_rows_through(rows, where, den):
+    from sympquot import exactlin
+
+    assert fraction_rank(rows) == integer_rank(rows)
+    # one row scaled by 1/den: same rank, through the Fraction clearing
+    mixed = [list(r) for r in rows]
+    i = where % len(mixed)
+    mixed[i] = [Fraction(x, den) for x in mixed[i]]
+    assert fraction_rank(mixed) == integer_rank(rows)
+    # the int rows reach integer_rank without a Fraction being made
+    class NoFraction:
+        def __init__(self, *args):
+            raise AssertionError("an int row was turned into Fractions")
+
+    real = exactlin.Fraction
+    exactlin.Fraction = NoFraction
+    try:
+        assert fraction_rank(rows) == integer_rank(rows)
+    finally:
+        exactlin.Fraction = real
+
+
 @given(small_matrix)
 @settings(max_examples=100, deadline=None)
 def test_fraction_inverse_roundtrip(rows):

@@ -1,7 +1,9 @@
 """SL2 analyzer: characters, classification, Koszul quotient series."""
 
+import random
 from collections import Counter
 from itertools import combinations_with_replacement
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,15 @@ from sympquot.bruteforce import sl2_sym_character_brute
 from sympquot.certify import CM_FAILS_CAVEAT
 from sympquot.errors import CapacityError
 from sympquot.laurent import LaurentCharacter
-from sympquot.quadforms import MomentForm
+from sympquot.quadforms import (
+    MomentForm,
+    jacobian_rank,
+    on_shell,
+    shell_point_from_kernel,
+)
 from sympquot.sl2 import (
     NAIVE_QUOTIENT_CAVEAT,
+    JacobianProbe,
     SL2Classification,
     SL2Module,
     ab_series,
@@ -136,6 +144,67 @@ def test_ab_series_reads_multiplicities_of_the_characters(irreps):
     assert ab.b.coeffs == tuple(multiplicity(c, 2) for c in chars)
 
 
+def list_fold_rows(V, D):
+    """The weight tables of Sym^d(V + V*) as lists over the weights
+    -dW..dW, folded one weight at a time over list slices: the reference
+    for the packed rows."""
+    W = max(V.irreps, default=0)
+    rows = [[1]] + [[0] * (2 * d * W + 1) for d in range(1, D + 1)]
+    for w, count in module_character(V).items():
+        for _ in range(2 * count):
+            lo = W + w
+            for d in range(1, D + 1):
+                prev, cur = rows[d - 1], rows[d]
+                hi = lo + len(prev)
+                cur[lo:hi] = map(add, cur[lo:hi], prev)
+    return rows
+
+
+def check_against_list_fold(V, D):
+    """ab_series and sym_power_characters against the list fold; returns
+    its largest entry."""
+    W = max(V.irreps, default=0)
+    rows = list_fold_rows(V, D)
+    chars = sym_power_characters(V, D)
+    assert chars == [
+        LaurentCharacter({m - d * W: v for m, v in enumerate(row) if v})
+        for d, row in enumerate(rows)
+    ]
+    at = lambda row, k: row[k] if k < len(row) else 0
+    a = tuple(at(row, d * W) - at(row, d * W + 2) for d, row in enumerate(rows))
+    b = tuple(at(row, d * W + 2) - at(row, d * W + 4) for d, row in enumerate(rows))
+    ab = ab_series(V, D)
+    assert (ab.a.coeffs, ab.b.coeffs) == (a, b)
+    return max(max(row) for row in rows)
+
+
+@pytest.mark.parametrize("irreps", LADDER)
+def test_packed_rows_match_the_list_fold_on_the_ladder(irreps):
+    check_against_list_fold(SL2Module(irreps), 40)
+
+
+# 2R5 at 56 has limbs past 64 bits but entries below 2^64 (at most 60 bits);
+# R7 and R8 at the a-priori denominator's degrees have entries past 2^64
+@pytest.mark.parametrize(
+    "irreps, D, past_64", [((5, 5), 56, False), ((7,), 248, True), ((8,), 200, True)]
+)
+def test_packed_rows_match_the_list_fold_past_64_bits(irreps, D, past_64):
+    V = SL2Module(irreps)
+    assert sl2._sym_power_rows(V, D)[1] > 64  # limbs wider than a machine word
+    assert (check_against_list_fold(V, D) >= 2**64) == past_64
+
+
+def test_packed_rows_edge_cases():
+    # n = 0: no weights to fold, and no binomial C(D - 1, -1) is formed
+    for D in (0, 1, 5):
+        assert check_against_list_fold(SL2Module(()), D) == 1
+        assert ab_series(SL2Module(()), D).a.coeffs == (1,) + (0,) * D
+    rows, B = sl2._sym_power_rows(SL2Module((3,)), 0)
+    assert rows == [1] and B >= 2
+    with pytest.raises(ValueError):
+        sl2._sym_power_rows(SL2Module(()), -1)
+
+
 def test_sym_power_characters_degree_validation():
     for fn in (sym_power_characters, ab_series):
         with pytest.raises(ValueError):
@@ -145,19 +214,38 @@ def test_sym_power_characters_degree_validation():
     ]
 
 
+def negate_weight_zero(rows, B):
+    """The packed rows of R2 + R1 with the weight-0 entry of every row
+    d >= 1 negated in place: that limb borrows from the one above it."""
+    out = rows[:1]
+    for d, row in enumerate(rows[1:], start=1):
+        mid = 2 * d  # the weight-0 limb; W = 2
+        c0 = (row >> B * mid) & ((1 << B) - 1)
+        out.append(row - (2 * c0 << B * mid))
+    return out, B
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        # the lowest weight only, away from the weights 0, 2, 4 that are read
-        lambda rows: rows[:3] + [[row[0] + 1] + row[1:] for row in rows[3:]],
-        lambda rows: [[2]] + rows[1:],
-        lambda rows: [[-x for x in row] if d else row for d, row in enumerate(rows)],
+        # one more at the lowest weight (limb 0), away from the weights
+        # 0, 2, 4 that are read
+        lambda rows, B: (rows[:3] + [row + 1 for row in rows[3:]], B),
+        lambda rows, B: ([2] + rows[1:], B),
+        lambda rows, B: ([-row if d else row for d, row in enumerate(rows)], B),
+        negate_weight_zero,
+        # the top bit of the weight-0 limb: an entry past the bound, in a
+        # row that is still a palindrome
+        lambda rows, B: (
+            rows[:1] + [row + (1 << B * (2 * d + 1) - 1) for d, row in enumerate(rows[1:], 1)],
+            B,
+        ),
     ],
-    ids=["asymmetric", "a0", "negative"],
+    ids=["asymmetric", "a0", "negative", "negative-weight-0", "past-the-bound"],
 )
 def test_ab_series_refuses_a_corrupt_weight_table(monkeypatch, corrupt):
     real = sl2._sym_power_rows
-    monkeypatch.setattr(sl2, "_sym_power_rows", lambda V, D: corrupt(real(V, D)))
+    monkeypatch.setattr(sl2, "_sym_power_rows", lambda V, D: corrupt(*real(V, D)))
     with pytest.raises(RuntimeError, match="please report this input"):
         ab_series(SL2Module((2, 1)), 6)
 
@@ -256,6 +344,86 @@ def test_jacobian_probe_deterministic_and_full_rank():
     assert p1.probabilistic
     with pytest.raises(ValueError):
         jacobian_rank_probe(SL2Module((2,)), trials=0)
+
+
+def full_trial_probe(V, trials, seed):
+    """The probe's loop with no early stop: every trial is drawn."""
+    forms = moment_components_sl2(V)
+    n = V.n
+    rng = random.Random(seed)
+    on_rank = off_rank = 0
+    running = []
+    for _ in range(trials):
+        z = [rng.randint(-9, 9) for _ in range(n)]
+        w = [rng.randint(-9, 9) for _ in range(n)]
+        r = jacobian_rank(forms, z, w)
+        if on_shell(forms, z, w):
+            on_rank = max(on_rank, r)
+        else:
+            off_rank = max(off_rank, r)
+        on_rank = max(on_rank, jacobian_rank(forms, z, [0] * n))
+        wk = shell_point_from_kernel(forms, z, rng)
+        if wk is not None and on_shell(forms, z, wk):
+            on_rank = max(on_rank, jacobian_rank(forms, z, wk))
+        running.append(on_rank)
+    return JacobianProbe(
+        on_shell_rank=on_rank,
+        off_shell_rank=off_rank,
+        shell_dim_estimate=2 * n - on_rank,
+        trials=trials,
+        seed=seed,
+        on_shell_ranks=tuple(running),
+    )
+
+
+@pytest.mark.parametrize("irreps", LADDER)
+def test_early_stopping_probe_equals_the_full_trial_loop(irreps):
+    V = SL2Module(irreps)
+    for seed in (0, 1, 7):
+        for trials in (4, 8):
+            assert jacobian_rank_probe(V, trials, seed=seed) == full_trial_probe(
+                V, trials, seed
+            )
+
+
+def test_probe_of_a_zero_modular_module_stops_after_one_trial(monkeypatch):
+    calls = []
+    real = sl2.jacobian_rank
+    monkeypatch.setattr(
+        sl2, "jacobian_rank", lambda *args: calls.append(1) or real(*args)
+    )
+    for irreps in LADDER:
+        if irreps in sl2.NOT_ZERO_MODULAR:
+            continue
+        for seed in (0, 1, 7):
+            calls.clear()
+            probe = jacobian_rank_probe(SL2Module(irreps), trials=8, seed=seed)
+            assert probe.on_shell_ranks == (3,) * 8
+            assert len(calls) <= 3, (irreps, seed)
+
+
+def test_probe_stops_only_when_both_ranks_are_full(monkeypatch):
+    # the first point is counted on the shell, so after trial 1 the on-shell
+    # rank is 3 and the off-shell rank 0; the probe must go on, as the full
+    # loop does, to the off-shell points of the later trials
+    real = on_shell
+
+    def first_call_on_shell():
+        calls = []
+
+        def fake(*args):
+            calls.append(args)
+            return len(calls) == 1 or real(*args)
+
+        return fake
+
+    V = SL2Module((3,))
+    monkeypatch.setattr(sl2, "on_shell", first_call_on_shell())
+    probe = jacobian_rank_probe(V, trials=4, seed=1)
+    monkeypatch.undo()
+    monkeypatch.setitem(globals(), "on_shell", first_call_on_shell())
+    assert probe == full_trial_probe(V, 4, 1)
+    assert probe.off_shell_rank == 3
 
 
 def test_koszul_reuses_a_longer_probe_with_the_same_seed(monkeypatch):

@@ -14,6 +14,8 @@ report's machine format (``AnalysisReport.to_json``, what ``analyze
   which checks the characters against the brute-force enumeration;
 - ``sl2-extra:<irreps>``: R4+R3, R6+R1 and R5+R2 at degree 40, which end
   in a ``ReconstructionError`` report after a long candidate search;
+- ``sl2-seed<s>:<irreps>``: the ladder at degree 24 with ``"seed": s`` for
+  s = 1 ... 5, since the Jacobian probe draws its points from the seed;
 - ``cli-torus:<i>``: the six torus requests of the ``cli-cold`` workload,
   presented as seed 1 presents them;
 - ``n8``: a stable faithful n = 8 torus module (``N8_MODULE``) that goes
@@ -96,6 +98,11 @@ def requests():
     out += [
         (f"sl2-extra:{label(irreps)}", {"kind": "sl2", "irreps": irreps, "degree": 40})
         for irreps in ([4, 3], [6, 1], [5, 2])
+    ]
+    out += [
+        (f"sl2-seed{seed}:{label(irreps)}", {"kind": "sl2", "irreps": irreps, "degree": 24, "seed": seed})
+        for seed in range(1, 6)
+        for irreps in corpus.SL2_LADDER
     ]
     # as corpus.cli_cold draws them, without computing its expected reports
     rng = corpus._rng("cli-cold", 1)
